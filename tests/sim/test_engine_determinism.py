@@ -13,9 +13,15 @@ A golden SHA-256 of the sequence is also pinned.  It guards against
 *accidental* behaviour drift (an engine edit that changes execution order,
 an RNG stream reshuffle); a PR that intentionally changes the event
 sequence should re-pin the hash in the same commit and say why.
+
+Two Themis workloads (direct spraying on a leaf-spine, PathMap spraying
+on a fat tree, both with a lossy fabric link) are pinned the same way,
+so the Themis-S/Themis-D hot path is covered as well as the RPS one.
 """
 
 import hashlib
+
+import pytest
 
 from repro.harness.network import Network, NetworkConfig, TopologySpec
 from repro.sim.engine import HeapSimulator, MS, US
@@ -32,6 +38,39 @@ from repro.sim.engine import HeapSimulator, MS, US
 #: on the new sequence (see test_engines_execute_identical_sequences).
 GOLDEN_SHA256 = ("3e949d77f60f1f9f89739d5d2c8f4b3f"
                  "aae3738fc533b31810b3f6397977230e")
+
+
+#: SHA-256 of the same (time, seq, callback-name) sequence for the Themis
+#: workloads of :func:`_run_themis_traced`.  The RPS golden above never
+#: runs Themis-S/Themis-D, so without these a change to the Themis hot
+#: path (spraying, ring push, NACK validation, compensation) could
+#: reorder events unnoticed.
+THEMIS_GOLDEN_SHA256 = {
+    "leaf_spine_direct": ("a397b667c9b02df3a58c55eab466d20b"
+                          "ff203720b9a10857bad41e1cca6806c7"),
+    "fat_tree_pathmap": ("53f20dd4987708ef66ab66721f21abba"
+                         "9a3ff0111b7b9f92d969cf2aeb712121"),
+}
+
+#: (topology, lossy fabric link, flows) of each Themis golden workload.
+THEMIS_WORKLOADS = {
+    # Direct spraying over 4 uplinks; every flow crosses the spine layer.
+    "leaf_spine_direct": (
+        TopologySpec(kind="leaf_spine", num_tors=4, num_spines=4,
+                     nics_per_tor=2, link_bandwidth_bps=100e9,
+                     link_delay_ns=US),
+        "tor0:spine1", [(i, (i + 2) % 8) for i in range(8)]),
+    # PathMap spraying (fat trees force it); every flow crosses pods.
+    "fat_tree_pathmap": (
+        TopologySpec(kind="fat_tree", fat_tree_k=4,
+                     link_bandwidth_bps=100e9, link_delay_ns=US),
+        "agg0_0:core0_0", [(i, (i + 8) % 16) for i in range(0, 16, 2)]),
+}
+
+
+def _digest(log) -> str:
+    return hashlib.sha256(
+        "\n".join(f"{t} {s} {n}" for t, s, n in log).encode()).hexdigest()
 
 
 def _run_traced(sim):
@@ -74,12 +113,40 @@ def test_engines_execute_identical_sequences():
 
 
 def test_golden_hash_pinned():
-    log = _run_traced(None)
-    digest = hashlib.sha256(
-        "\n".join(f"{t} {s} {n}" for t, s, n in log).encode()).hexdigest()
+    digest = _digest(_run_traced(None))
     if GOLDEN_SHA256 is None:
         raise AssertionError(
             f"golden hash not pinned yet — set GOLDEN_SHA256 = {digest!r}")
     assert digest == GOLDEN_SHA256, (
         "event sequence changed — if intentional, re-pin GOLDEN_SHA256 "
         f"to {digest!r} and explain the behaviour change in the commit")
+
+
+def _run_themis_traced(name):
+    """Run one Themis golden workload: 8 flows of 200 KB with 2% random
+    loss on one fabric link, so NACKs are blocked and compensated."""
+    topo, link, flows = THEMIS_WORKLOADS[name]
+    net = Network(NetworkConfig(topology=topo, scheme="themis", seed=5))
+    log = []
+    net.sim.trace = lambda t, s, cb: log.append(
+        (t, s, getattr(cb, "__qualname__", repr(cb))))
+    rng = net.rng.fork("golden-loss")
+    for port in net.find_link(link).ports:
+        port.set_loss(0.02, rng)
+    for qp, (src, dst) in enumerate(flows):
+        net.post_message(src, dst, 200_000, qp=qp)
+    net.run(until_ns=50 * MS)
+    net.stop()
+    return net, log
+
+
+@pytest.mark.parametrize("name", sorted(THEMIS_WORKLOADS))
+def test_themis_golden_hash_pinned(name):
+    net, log = _run_themis_traced(name)
+    # The workload must exercise the NACK path, not just spraying.
+    assert net.metrics.themis.nacks_blocked > 0
+    assert net.metrics.all_flows_done()
+    digest = _digest(log)
+    assert digest == THEMIS_GOLDEN_SHA256[name], (
+        f"{name}: event sequence changed — if intentional, re-pin "
+        f"THEMIS_GOLDEN_SHA256[{name!r}] to {digest!r} and explain why")
