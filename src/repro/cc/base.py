@@ -16,6 +16,10 @@ from repro.sim.engine import Simulator
 class CongestionControl:
     """Strategy interface; one instance per sender QP."""
 
+    #: Does :meth:`on_bytes_sent` act?  Senders skip the per-packet call
+    #: when it does not.
+    counts_bytes = False
+
     def __init__(self, sim: Simulator, line_rate_bps: float) -> None:
         self.sim = sim
         self.line_rate_bps = float(line_rate_bps)
@@ -33,9 +37,6 @@ class CongestionControl:
 
     def on_timeout(self) -> None:
         """Retransmission timeout fired."""
-
-    def on_ack(self) -> None:
-        """Positive cumulative ACK progress (hook for future schemes)."""
 
     def on_bytes_sent(self, nbytes: int) -> None:
         """Data transmitted — drives DCQCN's byte-counter increases."""

@@ -79,6 +79,7 @@ class Dcqcn(CongestionControl):
         self._increase_stage = 0       # timer-driven stage counter
         self._byte_stage = 0           # byte-counter stage counter
         self._bytes_acc = 0
+        self.counts_bytes = config.byte_counter_bytes is not None
         self._increase_event: Optional[Event] = None
         self._alpha_event: Optional[Event] = None
 

@@ -113,5 +113,5 @@ def attach_tracer(network: "Network",
     """
     tracer = PacketTracer(flow)
     for switch in network.topology.switches:
-        switch.middleware.insert(0, tracer)
+        switch.add_middleware(tracer, first=True)
     return tracer

@@ -30,6 +30,8 @@ from repro.switch.switch import Middleware, Switch
 from repro.themis.config import ThemisConfig
 from repro.themis.flow_table import FlowEntry, FlowTable
 
+_NACK = PacketType.NACK
+
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.harness.metrics import Metrics
 
@@ -87,27 +89,36 @@ class ThemisDest(Middleware):
     # ------------------------------------------------------------------
     def on_packet(self, switch: Switch, packet: Packet,
                   in_port: Optional[Port]) -> bool:
+        # Runs on every packet through the ToR: direction is tested on
+        # the packet's own src/dst, and control packets other than
+        # NIC-generated NACKs leave after one type test.
         if not self.enabled:
             return True
-        if (packet.is_data
-                and packet.flow.dst in switch.down_nics
-                and packet.flow.src not in switch.down_nics):
-            self._on_data_to_nic(switch, packet)
+        down = switch.down_nics
+        if packet.is_data:
+            if packet.dst in down and packet.src not in down:
+                # Data path (PSN caching + compensation check), inlined.
+                entry = self.table.get(packet.flow)
+                if entry is None:
+                    entry = self._create_entry(packet.flow)
+                if entry.valid and self.config.enable_compensation:
+                    self._compensation_check(switch, entry, packet.psn)
+                queue = entry.queue
+                before = queue.overflows
+                queue.enqueue(packet.psn)
+                if queue.overflows > before:
+                    self.metrics.themis.queue_overflows += 1
             return True
-        if (packet.ptype is PacketType.NACK
-                and not packet.themis_generated
-                and packet.flow.src in switch.down_nics
-                and packet.flow.dst not in switch.down_nics):
+        if packet.ptype is not _NACK or packet.themis_generated:
+            return True
+        if packet.src in down and packet.dst not in down:
             return self._on_nack_from_nic(switch, packet)
         return True
 
     # ------------------------------------------------------------------
     # Data path: PSN caching + compensation checks
     # ------------------------------------------------------------------
-    def _entry_for(self, flow: FlowKey) -> FlowEntry:
-        entry = self.table.get(flow)
-        if entry is not None:
-            return entry
+    def _create_entry(self, flow: FlowKey) -> FlowEntry:
         n_paths = self.n_paths_for(flow)
         capacity = self.queue_capacity_for(flow)
         psn_bits = self.config.psn_bits
@@ -116,15 +127,6 @@ class ThemisDest(Middleware):
         if (1 << psn_bits) % n_paths != 0:
             psn_bits = 32
         return self.table.get_or_create(flow, n_paths, capacity, psn_bits)
-
-    def _on_data_to_nic(self, switch: Switch, packet: Packet) -> None:
-        entry = self._entry_for(packet.flow)
-        if self.config.enable_compensation and entry.valid:
-            self._compensation_check(switch, entry, packet.psn)
-        before = entry.queue.overflows
-        entry.queue.enqueue(packet.psn)
-        if entry.queue.overflows > before:
-            self.metrics.themis.queue_overflows += 1
 
     def _compensation_check(self, switch: Switch, entry: FlowEntry,
                             psn: int) -> None:

@@ -55,12 +55,16 @@ class PsnRingQueue:
         wraps); §4 sizes the queue so this only happens when RTT spikes
         beyond the provisioning factor F.
         """
-        if self.full:
-            self.head = (self.head + 1) % self.capacity
+        # Runs once per data packet leaving the ToR: ``full`` and
+        # ``truncate`` are inlined.
+        capacity = self.capacity
+        if self._size == capacity:
+            self.head = (self.head + 1) % capacity
             self._size -= 1
             self.overflows += 1
-        self._slots[self.tail] = self.truncate(psn)
-        self.tail = (self.tail + 1) % self.capacity
+        tail = self.tail
+        self._slots[tail] = psn & self._mask
+        self.tail = (tail + 1) % capacity
         self._size += 1
 
     def dequeue(self) -> int:

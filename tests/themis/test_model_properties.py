@@ -65,12 +65,13 @@ class Pipeline:
                 return True
 
         nic.uplink = Loopback()
+        self.nic = nic
         self.receiver = nic.receiver(FLOW)
 
     def deliver(self, psn):
         packet = data_packet(FLOW, psn, 100)
         if self.dest.on_packet(self.tor, packet, None):
-            self.receiver.on_data(packet)
+            self.nic.receive(packet, None)
 
     def sender_nack_epsns(self):
         return {p.epsn for p in self.tor.to_sender
