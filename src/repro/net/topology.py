@@ -134,7 +134,10 @@ class Topology:
             nics_by_tor.setdefault(tor, []).append(nic_id)
 
         for switch in self.switches:
-            switch.routes = {}
+            # Every NIC gets an entry; an empty candidate list marks one
+            # no live path reaches, which the switch drops with full
+            # accounting (a transient partition is not a harness error).
+            switch.routes = {nic_id: [] for nic_id in self.nic_tor}
         for tor, nic_ids in nics_by_tor.items():
             dist = self._bfs_distances(tor)
             for switch in self.switches:
@@ -206,7 +209,7 @@ class Topology:
         """
         src_tor = self.nic_tor[src_nic]
         routes = src_tor.routes.get(dst_nic)
-        if routes is None:
+        if not routes:
             raise LookupError(f"no route {src_nic}->{dst_nic}")
         return len(routes)
 

@@ -7,7 +7,7 @@ buffers balance to zero, port busy time never exceeds elapsed time, and
 retransmissions exactly account for the extra transmissions.
 """
 
-from hypothesis import HealthCheck, given, settings, strategies as st
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from repro.faults.injector import FaultInjector
 from repro.faults.spec import (LatencyShift, LinkFlap, RandomLoss,
@@ -51,6 +51,13 @@ flows = st.lists(
 @settings(max_examples=20, deadline=None,
           suppress_health_check=[HealthCheck.too_slow])
 @given(seed=st.integers(0, 2**16), layers=schedules, workload=flows)
+# Both tor0 uplinks down at once: a transient partition.  Packets toward
+# NIC 2 must be dropped with accounting (reason no_route), not raise, and
+# the flow completes by RTO once the links heal.
+@example(seed=0,
+         layers=[LinkFlap(link="tor0:spine0", at_us=0.0, down_us=26.0),
+                 LinkFlap(link="tor0:spine1", at_us=0.0, down_us=26.0)],
+         workload=[(0, 2, 72_100)])
 def test_conservation_under_random_fault_schedules(seed, layers,
                                                    workload):
     net = Network(NetworkConfig(topology=TOPO, scheme="themis",

@@ -84,7 +84,7 @@ class TestDragonflyBuilder:
         topo.build_routes()
         for switch in topo.switches:
             for nic_id in range(topo.num_nics):
-                assert nic_id in switch.routes, \
+                assert switch.routes[nic_id], \
                     f"{switch.name} has no route to NIC {nic_id}"
 
 

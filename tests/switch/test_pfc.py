@@ -119,6 +119,14 @@ class TestPfcController:
         assert down.pfc.ingress_occupancy(up_port) == 0
         assert not down.pfc.paused_ports
 
+    def test_unroutable_packet_credited(self):
+        """A packet dropped for want of a route must not leak ingress
+        bytes either."""
+        sim, down, up_port = self._setup()
+        down.routes[1] = []
+        down.receive(data_packet(FlowKey(0, 1), 0, 1000), up_port)
+        assert down.pfc.ingress_occupancy(up_port) == 0
+
     def test_consumed_packet_credited(self):
         """A packet eaten by middleware must not leak ingress bytes."""
         from repro.switch.switch import Middleware

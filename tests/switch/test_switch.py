@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.harness.metrics import Metrics
 from repro.net.node import Device
 from repro.net.packet import FlowKey, ack_packet, data_packet
 from repro.sim.engine import Simulator
@@ -48,10 +49,33 @@ class TestForwarding:
         assert len(sinks[5].received) == 1
 
     def test_missing_route_raises(self):
+        """A NIC the topology never had is a wiring error, not a drop."""
         sim = Simulator()
         sw = make_switch(sim)
-        with pytest.raises(LookupError):
+        with pytest.raises(KeyError):
             sw.receive(data_packet(FlowKey(0, 99), 0, 100), None)
+
+    def test_unreachable_nic_dropped_with_accounting(self):
+        """An empty candidate set (a partitioned fabric) drops the packet
+        into the metrics and the recorder's drop channel."""
+        sim = Simulator()
+        metrics = Metrics(sim)
+        sw = Switch(sim, "sw", lb=EcmpLB(), buffer=SharedBuffer(10**6),
+                    ecn_marker=EcnMarker(EcnConfig(), SimRng(0)),
+                    metrics=metrics)
+        drops = []
+
+        class DropChannel:
+            def drop(self, t, loc, packet, reason):
+                drops.append((loc, packet.psn, reason))
+
+        sw.rec_drop = DropChannel()
+        sw.routes[7] = []
+        sw.receive(data_packet(FlowKey(0, 7), 3, 100), None)
+        sw.forward(data_packet(FlowKey(0, 7), 4, 100))
+        assert metrics.drops == 2
+        assert drops == [("sw", 3, "no_route"), ("sw", 4, "no_route")]
+        assert sw.buffer.used_bytes == 0
 
     def test_multi_candidate_uses_lb(self):
         sim = Simulator()
