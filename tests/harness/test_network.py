@@ -113,6 +113,30 @@ class TestEndToEnd:
         # Spray choices differ; some counter must differ.
         assert run_once(1) != run_once(2)
 
+    def test_stop_is_sticky(self):
+        """Stopping at the last receiver completion leaves nothing to
+        time out: ACKs still in flight reach stopped senders, which
+        re-arm no RTO, so no flow times out or retransmits."""
+        topo = TopologySpec(kind="leaf_spine", num_tors=4, num_spines=4,
+                            nics_per_tor=2)
+        net = Network(NetworkConfig(topology=topo, scheme="themis",
+                                    seed=1))
+        pairs = [(s, d) for s in range(8) for d in range(8) if s != d]
+        left = [len(pairs)]
+
+        def on_receiver_done():
+            left[0] -= 1
+            if not left[0]:
+                net.stop()
+
+        for src, dst in pairs:
+            net.post_message(src, dst, 20_000,
+                             on_receiver_done=on_receiver_done)
+        net.run(until_ns=10_000_000)
+        assert net.metrics.all_flows_done()
+        assert sum(f.timeouts for f in net.metrics.flows.values()) == 0
+        assert net.metrics.retransmissions == 0
+
 
 class TestInvariants:
     def _loaded_network(self, scheme):
