@@ -147,8 +147,6 @@ def build_parser() -> argparse.ArgumentParser:
                               "(writes BENCH_engine.json)")
     ben.add_argument("--quick", action="store_true",
                      help="~8x smaller messages; CI smoke mode")
-    ben.add_argument("--no-compare", action="store_true",
-                     help="skip the heapq reference-engine A/B run")
     ben.add_argument("--repeats", type=int, default=None,
                      help="best-of-N repeats per measurement "
                           "(default: 3 full, 1 quick)")
@@ -513,9 +511,8 @@ def cmd_bench(args: argparse.Namespace, console: Console) -> int:
     import json as _json
 
     from repro.harness.bench import check_regression, run_bench
-    doc = run_bench(quick=args.quick, compare=not args.no_compare,
-                    repeats=args.repeats, out=args.out or None,
-                    echo=console.info)
+    doc = run_bench(quick=args.quick, repeats=args.repeats,
+                    out=args.out or None, echo=console.info)
     if args.cost_model_out and doc.get("cost_model"):
         with open(args.cost_model_out, "w") as fh:
             _json.dump(doc["cost_model"], fh, indent=2)

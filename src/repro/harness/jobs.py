@@ -174,7 +174,6 @@ def _exec_bench(params: dict, seed: int) -> dict:
 
     from repro.harness.bench import run_scenario
     result = run_scenario(params["scenario"], quick=params["quick"],
-                          engine=params["engine"],
                           traced=params.get("traced", False))
     return asdict(result)
 

@@ -133,9 +133,9 @@ class Network:
                  sim: Optional[Simulator] = None,
                  recorder: Optional[Recorder] = None) -> None:
         self.config = config
-        #: Injectable engine: the perf benchmark and the golden
-        #: determinism test run the same fabric on ``HeapSimulator``
-        #: (the reference engine) to A/B against the calendar queue.
+        #: Injectable engine: the golden determinism tests run the same
+        #: fabric on a heap reference engine to check the calendar
+        #: queue's event order against it.
         self.sim = sim if sim is not None else Simulator()
         #: Observability recorder (repro.obs); channels are threaded to
         #: every component in _wire_recorder().  None = tracing off.

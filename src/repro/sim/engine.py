@@ -1,21 +1,18 @@
 """Discrete-event simulation engine.
 
-Two engines share one API and one determinism contract:
-
-* :class:`Simulator` — the default **hybrid bucketed calendar queue**.
-  Near-future events land in a ring of fixed-width time buckets sized to
-  the dominant serialization/propagation deltas; far-future events
-  (retransmission timeouts, DCQCN timers, end-of-run guards) overflow into
-  a binary heap.  Queue entries are plain ``(time, seq, event)`` tuples so
-  every ordering comparison happens in C instead of calling
-  ``Event.__lt__``, and executed :class:`~repro.sim.events.Event` objects
-  are recycled through a free list.  Cancelled overflow entries are
-  compacted away once they outnumber the live ones (lazy-cancel
-  compaction), so timer churn cannot grow the heap without bound.
-* :class:`HeapSimulator` — the original single binary-heap engine, kept as
-  the executable reference implementation.  The golden determinism test
-  (``tests/sim/test_engine_determinism.py``) runs full workloads on both
-  engines and asserts bit-identical ``(time, seq)`` execution order.
+:class:`Simulator` is a **hybrid bucketed calendar queue**.  Near-future
+events land in a ring of fixed-width time buckets sized to the dominant
+serialization/propagation deltas; far-future events (retransmission
+timeouts, DCQCN timers, end-of-run guards) overflow into a binary heap.
+Queue entries are plain tuples (``(time, seq, event)`` for
+:meth:`~Simulator.schedule`, ``(time, seq, callback, arg...)`` for
+:meth:`~Simulator.fire`/:meth:`~Simulator.fire2`) so every ordering
+comparison happens in C instead of calling ``Event.__lt__``, and executed
+:class:`~repro.sim.events.Event` objects are recycled through a free
+list.  Cancelled overflow entries are compacted away once they outnumber
+the live ones (lazy-cancel compaction), so timer churn cannot grow the
+heap without bound.  :meth:`Simulator.run` is the only code that executes
+events.
 
 All simulation time is expressed in **integer nanoseconds** — the
 module-level constants :data:`NS`, :data:`US`, :data:`MS` and :data:`SEC`
@@ -29,7 +26,10 @@ Two runs with identical inputs and seeds execute the exact same event
 sequence.  This requires (a) the ``seq`` tie-break, and (b) all randomness
 flowing through :class:`repro.sim.rng.SimRng`.  The calendar engine keeps
 bucket windows disjoint and orders each bucket by ``(time, seq)``, so its
-execution order equals the reference heap's.
+execution order equals that of one binary heap over all entries.  The
+golden determinism tests run full workloads on it and on such a heap
+engine (the reference kept in ``tests/sim/heap_oracle.py``) and assert
+bit-identical ``(time, seq)`` execution order.
 
 Pooling invariant
 -----------------
@@ -45,6 +45,7 @@ callback's first line.
 from __future__ import annotations
 
 import heapq
+from bisect import bisect_left
 from typing import Any, Callable, Optional
 
 from repro.sim.events import Event
@@ -103,9 +104,6 @@ class Simulator:
 
     Parameters
     ----------
-    end_time:
-        Optional hard stop; events scheduled past it are still accepted but
-        :meth:`run` will not execute them.
     bucket_ns:
         Width of one calendar bucket in nanoseconds (rounded up to a power
         of two so bucket indexing is a shift+mask).
@@ -119,7 +117,7 @@ class Simulator:
     * the cursor bucket covers ``[_cur_end - _width, _cur_end)`` and is
       kept as a heap (entries may arrive while it drains);
     * every other calendar entry lies in ``[_cur_end, _win_end)`` and sits
-      unsorted in its bucket, heapified when the cursor arrives;
+      unsorted in its bucket, sorted when :meth:`run` claims it;
     * overflow entries all lie at ``time >= _win_end``.
 
     A late insert below ``_cur_end`` (clock still sitting before a window
@@ -128,17 +126,15 @@ class Simulator:
     """
 
     __slots__ = (
-        "now", "end_time", "trace", "_shift", "_width", "_mask",
+        "now", "trace", "_shift", "_width", "_mask",
         "_horizon", "_buckets", "_occ", "_bit", "_cur_index",
         "_cur_end", "_win_end", "_overflow", "_compact_at", "_event_pool",
         "_seq", "_executed", "_running", "batches",
     )
 
-    def __init__(self, end_time: Optional[int] = None, *,
-                 bucket_ns: int = DEFAULT_BUCKET_NS,
+    def __init__(self, *, bucket_ns: int = DEFAULT_BUCKET_NS,
                  n_buckets: int = DEFAULT_N_BUCKETS) -> None:
         self.now: int = 0
-        self.end_time = end_time
         #: Optional per-event hook ``trace(time, seq, callback)`` invoked
         #: before each executed callback; used by the determinism tests.
         self.trace: Optional[Callable[[int, int, Callable], None]] = None
@@ -168,7 +164,7 @@ class Simulator:
         self._seq = 0
         self._executed = 0
         self._running = False
-        #: Calendar buckets claimed by :meth:`run_batched` — the unit of
+        #: Calendar buckets claimed by :meth:`run` — the unit of
         #: per-batch overhead (claim + sort + bound hoisting).  The
         #: bench cost model reads this to price batch-sparse workloads.
         self.batches = 0
@@ -180,8 +176,9 @@ class Simulator:
                  *args: Any) -> Event:
         """Schedule ``callback(*args)`` to run ``delay`` ns from now.
 
-        This is the hottest scheduler entry point, so :meth:`_push` is
-        inlined here; keep the two bodies in sync.
+        Returns the cancellable :class:`Event` handle (see the pooling
+        invariant in the module docstring).  To schedule at an absolute
+        time ``t``, pass ``t - sim.now``.
         """
         if delay < 0:
             raise SimulationError(f"negative delay {delay}")
@@ -282,49 +279,6 @@ class Simulator:
             if len(overflow) > self._compact_at:
                 self._compact_overflow()
 
-    def schedule_at(self, time: int, callback: Callable[..., Any],
-                    *args: Any) -> Event:
-        """Schedule ``callback(*args)`` at an absolute time."""
-        time = int(time)
-        if time < self.now:
-            raise SimulationError(
-                f"cannot schedule at {time} before now={self.now}")
-        return self._push(time, callback, args)
-
-    def _push(self, time: int, callback: Callable[..., Any],
-              args: tuple) -> Event:
-        seq = self._seq
-        self._seq = seq + 1
-        pool = self._event_pool
-        if pool:
-            event = pool.pop()
-            event.time = time
-            event.seq = seq
-            event.callback = callback
-            event.args = args
-            event.cancelled = False
-        else:
-            event = Event(time, seq, callback, args)
-        entry = (time, seq, event)
-        if time < self._win_end:
-            if time < self._cur_end:
-                # The cursor bucket is kept heap-ordered while draining.
-                # Its occupancy bit is irrelevant: the run loop always
-                # drains the cursor before consulting the bitmap.
-                _heappush(self._buckets[self._cur_index], entry)
-            else:
-                index = (time >> self._shift) & self._mask
-                bucket = self._buckets[index]
-                if not bucket:
-                    self._occ |= self._bit[index]
-                bucket.append(entry)
-        else:
-            overflow = self._overflow
-            _heappush(overflow, entry)
-            if len(overflow) > self._compact_at:
-                self._compact_overflow()
-        return event
-
     def _compact_overflow(self) -> None:
         """Drop lazily-cancelled entries and re-heapify (amortized O(1)).
 
@@ -341,17 +295,16 @@ class Simulator:
     # ------------------------------------------------------------------
     # Cursor movement (cold path: runs only when a bucket drains)
     # ------------------------------------------------------------------
-    def _advance_cursor(self, heapify: bool = True) -> Optional[list]:
+    def _advance_cursor(self) -> Optional[list]:
         """Move the cursor to the next non-empty bucket.
 
-        Returns that bucket (heapified, ready to drain — or raw when
-        ``heapify=False``, for the batched drain which sorts the whole
-        bucket at once), or ``None`` when nothing is pending anywhere.
-        The next occupied bucket comes from
-        the occupancy bitmap — a shift plus count-trailing-zeros on one
-        big int, all C-level — so a sparse calendar (idle timers tens of
-        microseconds apart) costs the same as a dense one.  When the
-        calendar is empty the cursor jumps straight to the overflow front.
+        Returns that bucket, unsorted (:meth:`run` sorts it when it
+        claims it), or ``None`` when nothing is pending anywhere.  The
+        next occupied bucket comes from the occupancy bitmap — a shift
+        plus count-trailing-zeros on one big int, all C-level — so a
+        sparse calendar (idle timers tens of microseconds apart) costs the
+        same as a dense one.  When the calendar is empty the cursor jumps
+        straight to the overflow front.
 
         Overflow migration can happen *after* the jump target is chosen:
         every overflow entry has ``time >= _win_end``, which is later than
@@ -394,10 +347,7 @@ class Simulator:
                     occ |= bit[slot]
                 b.append(entry)
             self._occ = occ
-            bucket = buckets[index]
-            if heapify:
-                heapq.heapify(bucket)
-            return bucket
+            return buckets[index]
         if not overflow:
             self._occ = 0
             return None
@@ -418,83 +368,30 @@ class Simulator:
                 occ |= bit[slot]
             b.append(entry)
         self._occ = occ
-        bucket = buckets[index]
-        if heapify:
-            heapq.heapify(bucket)
-        return bucket
+        return buckets[index]
 
     # ------------------------------------------------------------------
     # Execution
     # ------------------------------------------------------------------
-    def step(self) -> bool:
-        """Execute the single next pending event.
-
-        Returns ``True`` if an event ran, ``False`` if the queue is empty
-        or the next event lies beyond ``end_time``.
-        """
-        while True:
-            bucket = self._buckets[self._cur_index]
-            if not bucket:
-                bucket = self._advance_cursor()
-                if bucket is None:
-                    return False
-            entry = heapq.heappop(bucket)
-            if len(entry) != 3:               # fire()/fire2() fast path
-                if self.end_time is not None and entry[0] > self.end_time:
-                    heapq.heappush(bucket, entry)
-                    return False
-                self.now = entry[0]
-                if len(entry) == 4:
-                    entry[2](entry[3])
-                else:
-                    entry[2](entry[3], entry[4])
-                self._executed += 1
-                return True
-            event = entry[2]
-            if event.cancelled:
-                self._recycle(event)
-                continue
-            if self.end_time is not None and entry[0] > self.end_time:
-                heapq.heappush(bucket, entry)
-                return False
-            self.now = entry[0]
-            event.callback(*event.args)
-            self._executed += 1
-            self._recycle(event)
-            return True
-
-    def _recycle(self, event: Event) -> None:
-        # Drop references so a pooled event never pins packet graphs.
-        event.callback = None
-        event.args = ()
-        pool = self._event_pool
-        if len(pool) < _EVENT_POOL_CAP:
-            pool.append(event)
-
     def run(self, until: Optional[int] = None) -> int:
-        """Run events until the queue drains or ``until`` (absolute ns).
+        """Run events up to ``until`` (absolute ns, inclusive), or until
+        the queue drains.
 
-        Returns the number of events executed by this call.  When the
-        queue drains before ``until``, the clock still advances to
-        ``until``, matching the early-break case — either way the caller
-        observes ``now == until``.  Delegates to :meth:`run_batched`,
-        the bucket-at-a-time drain (golden-tested bit-identical to the
-        historical one-event-at-a-time loop and to the heap reference).
-        """
-        return self.run_batched(until)
+        Returns the number of events executed by this call.  When a
+        bounded call returns, the clock reads ``until`` whether the queue
+        drained first or a later event stopped it.
 
-    def run_batched(self, until: Optional[int] = None) -> int:
-        """Batched drain: claim whole calendar buckets, sort once, then
-        dispatch the batch in a tight loop.
-
-        Per-event cost drops three ways versus the classic loop:
+        This is the engine's only dispatch loop.  It claims one calendar
+        bucket at a time, sorts it, and runs it as a batch:
 
         * one C-level ``list.sort`` per bucket replaces a ``heappop``
           (log-n sifts) per event;
-        * the stop-bound comparison is hoisted to once per bucket — a
-          bucket whose window ends at or before the bound can never
-          contain a late event, which is every bucket except possibly
-          the final one of a bounded run;
+        * the stop bound is checked once per bucket.  A bucket whose
+          window ends at or before the bound holds no late event, which
+          is every bucket except possibly the last one of a bounded run.
+          That bucket is cut at the bound: the entries after the cut
+          stay queued as the bucket (a sorted list is a valid heap) and
+          the run stops once a claim cuts nothing;
         * same-timestamp chains (port→switch→port hops of one packet
           wave) run back-to-back out of the sorted batch with no queue
           maintenance between them.
@@ -503,7 +400,7 @@ class Simulator:
         serializer boundary wake-up shorter than the remaining bucket,
         a zero-delay completion) land in a fresh ``live`` heap that the
         drain merges in ``(time, seq)`` order, so execution order is
-        bit-identical to the reference engines.
+        exactly ``(time, seq)`` order.
         """
         if self._running:
             raise SimulationError("Simulator.run is not reentrant")
@@ -511,80 +408,38 @@ class Simulator:
         executed = 0
         # Local aliases for the per-event hot loop.
         heappop = heapq.heappop
-        heappush = heapq.heappush
         trace = self.trace
         pool = self._event_pool
         pool_append = pool.append
         advance = self._advance_cursor
         buckets = self._buckets
-        # Fold ``until`` and ``end_time`` into one numeric stop bound;
-        # which bound fired decides below whether the clock jumps to
-        # ``until``.
         bound = until if until is not None else _FAR_FUTURE
-        if self.end_time is not None and self.end_time < bound:
-            bound = self.end_time
         try:
             while True:
                 index = self._cur_index
                 batch = buckets[index]
                 if not batch:
-                    batch = advance(heapify=False)
+                    batch = advance()
                     if batch is None:
-                        # Queue drained before the bound: leave now ==
-                        # until, same as the bounded-break case below.
-                        if until is not None and until > self.now:
-                            self.now = until
                         break
                     index = self._cur_index
-                if self._cur_end > bound + 1:
-                    # The cursor window straddles the stop bound (at most
-                    # once per call): fall back to the careful per-event
-                    # drain for this bucket, then stop — every other
-                    # pending entry lies at >= _cur_end > bound.
-                    heapq.heapify(batch)
-                    while batch:
-                        entry = heappop(batch)
-                        time = entry[0]
-                        if time > bound:
-                            heappush(batch, entry)
-                            break
-                        ln = len(entry)
-                        if ln != 3:
-                            self.now = time
-                            if trace is not None:
-                                trace(time, entry[1], entry[2])
-                            if ln == 4:
-                                entry[2](entry[3])
-                            else:
-                                entry[2](entry[3], entry[4])
-                            executed += 1
-                            continue
-                        event = entry[2]
-                        if event.cancelled:
-                            event.args = ()
-                            if len(pool) < _EVENT_POOL_CAP:
-                                pool_append(event)
-                            continue
-                        self.now = time
-                        if trace is not None:
-                            trace(time, entry[1], event.callback)
-                        event.callback(*event.args)
-                        executed += 1
-                        event.callback = None
-                        event.args = ()
-                        if len(pool) < _EVENT_POOL_CAP:
-                            pool_append(event)
-                    if bound == until and until > self.now:
-                        self.now = until
-                    break
-                # Claim the bucket: late inserts into the still-open
-                # cursor window go to a fresh heap we merge from.
-                live: list = []
-                buckets[index] = live
                 batch.sort()
+                n = len(batch)
+                if self._cur_end > bound + 1:
+                    # The cursor window straddles the stop bound: run
+                    # the head up to the bound and keep the tail queued.
+                    # Every other pending entry lies at >= _cur_end.
+                    n = bisect_left(batch, (bound + 1,))
+                    if not n:
+                        break
+                    live = batch[n:]
+                else:
+                    live = []
+                # Claim the bucket: late inserts into the still-open
+                # cursor window go to ``live``, which we merge from.
+                buckets[index] = live
                 self.batches += 1
                 pos = 0
-                n = len(batch)
                 merged = 0   # late inserts drained from ``live``
                 skipped = 0  # lazily-cancelled Event entries
                 try:
@@ -626,19 +481,22 @@ class Simulator:
                     # event: everything consumed ran except cancellations.
                     executed += n + merged - skipped
                 except BaseException:
-                    # Restore the unexecuted tail so a callback raising
-                    # mid-batch leaves the queue intact for post-mortems.
-                    # The entry that raised was consumed but (matching the
-                    # classic loop) does not count as executed.
+                    # Restore the unexecuted head so a callback raising
+                    # mid-batch leaves the queue intact for post-mortems
+                    # (the tail past a cut is already in ``live``).  The
+                    # entry that raised was consumed but does not count
+                    # as executed.
                     executed += pos + merged - skipped - 1
-                    live.extend(batch[pos:])
+                    live.extend(batch[pos:n])
                     heapq.heapify(live)
                     raise
                 # Batch done; any remaining late inserts (now in the
                 # bucket) are re-claimed by the next outer iteration.
+            if until is not None and until > self.now:
+                self.now = until
         finally:
             self._running = False
-        self._executed += executed
+            self._executed += executed
         return executed
 
     # ------------------------------------------------------------------
@@ -659,137 +517,7 @@ class Simulator:
         """Total events executed since construction."""
         return self._executed
 
-    @property
-    def pooled_events(self) -> int:
-        """Current size of the Event free list (introspection/tests)."""
-        return len(self._event_pool)
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (f"Simulator(now={self.now}ns, pending={self.pending}, "
                 f"executed={self.executed})")
 
-
-class HeapSimulator:
-    """Reference engine: one binary heap ordered by ``(time, seq)``.
-
-    The original implementation, kept (plus the drain-to-``until`` fix) so
-    the calendar engine's execution order can be A/B-checked against it.
-    Prefer :class:`Simulator` everywhere else; this one allocates a fresh
-    :class:`Event` per schedule and pays a Python-level ``__lt__`` call
-    for every heap comparison.  Deliberately *not* micro-optimised (no
-    ``__slots__``, no inlining): it is the measurement baseline.
-    """
-
-    def __init__(self, end_time: Optional[int] = None) -> None:
-        self.now: int = 0
-        self.end_time = end_time
-        self.trace: Optional[Callable[[int, int, Callable], None]] = None
-        self._heap: list[Event] = []
-        self._seq = 0
-        self._executed = 0
-        self._running = False
-        self.batches = 0  # API parity; the heap engine never batches
-
-    # ------------------------------------------------------------------
-    # Scheduling
-    # ------------------------------------------------------------------
-    def schedule(self, delay: int, callback: Callable[..., Any],
-                 *args: Any) -> Event:
-        """Schedule ``callback(*args)`` to run ``delay`` ns from now."""
-        if delay < 0:
-            raise SimulationError(f"negative delay {delay}")
-        return self.schedule_at(self.now + int(delay), callback, *args)
-
-    def fire(self, delay: int, callback: Callable[[Any], Any],
-             arg: Any = None) -> None:
-        """Fire-and-forget schedule (API parity with :class:`Simulator`).
-
-        The seed engine has only Events, so this simply schedules one;
-        the ``seq`` consumed here keeps both engines' sequence counters
-        in lockstep, which the golden determinism test relies on.
-        """
-        self.schedule(delay, callback, arg)
-
-    def fire2(self, delay: int, callback: Callable[[Any, Any], Any],
-              arg1: Any, arg2: Any) -> None:
-        """Two-argument fire (API parity with :class:`Simulator`)."""
-        self.schedule(delay, callback, arg1, arg2)
-
-    def schedule_at(self, time: int, callback: Callable[..., Any],
-                    *args: Any) -> Event:
-        """Schedule ``callback(*args)`` at an absolute time."""
-        if time < self.now:
-            raise SimulationError(
-                f"cannot schedule at {time} before now={self.now}")
-        event = Event(int(time), self._seq, callback, args)
-        self._seq += 1
-        heapq.heappush(self._heap, event)
-        return event
-
-    # ------------------------------------------------------------------
-    # Execution
-    # ------------------------------------------------------------------
-    def step(self) -> bool:
-        """Execute the single next pending event."""
-        while self._heap:
-            event = self._heap[0]
-            if event.cancelled:
-                heapq.heappop(self._heap)
-                continue
-            if self.end_time is not None and event.time > self.end_time:
-                return False
-            heapq.heappop(self._heap)
-            self.now = event.time
-            event.callback(*event.args)
-            self._executed += 1
-            return True
-        return False
-
-    def run(self, until: Optional[int] = None) -> int:
-        """Run events until the queue drains or ``until`` (absolute ns)."""
-        if self._running:
-            raise SimulationError("Simulator.run is not reentrant")
-        self._running = True
-        executed = 0
-        try:
-            while self._heap:
-                event = self._heap[0]
-                if event.cancelled:
-                    heapq.heappop(self._heap)
-                    continue
-                if until is not None and event.time > until:
-                    if until > self.now:
-                        self.now = until
-                    break
-                if self.end_time is not None \
-                        and event.time > self.end_time:
-                    break
-                heapq.heappop(self._heap)
-                self.now = event.time
-                if self.trace is not None:
-                    self.trace(event.time, event.seq, event.callback)
-                event.callback(*event.args)
-                executed += 1
-            if not self._heap and until is not None and until > self.now:
-                self.now = until
-        finally:
-            self._running = False
-        self._executed += executed
-        return executed
-
-    # ------------------------------------------------------------------
-    # Introspection
-    # ------------------------------------------------------------------
-    @property
-    def pending(self) -> int:
-        """Number of heap entries (including lazily-cancelled ones)."""
-        return len(self._heap)
-
-    @property
-    def executed(self) -> int:
-        """Total events executed since construction."""
-        return self._executed
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return (f"HeapSimulator(now={self.now}ns, pending={self.pending}, "
-                f"executed={self.executed})")

@@ -46,8 +46,8 @@ class TestDecrease:
         cc.on_cnp()  # same instant: gated
         assert cc.rate_bps == rate_after_first
         sim.schedule(200 * US, cc.on_cnp)
-        sim.run(until=200 * US)
-        sim.step()
+        # Past the gate: the CNP at 200 us and the alpha tick after it.
+        sim.run(until=300 * US)
         assert cc.rate_bps < rate_after_first
 
     def test_nack_triggers_decrease(self):

@@ -3,7 +3,9 @@
 import pytest
 
 from repro.obs.profile import Profiler
-from repro.sim.engine import HeapSimulator, Simulator
+from repro.sim.engine import Simulator
+
+from tests.sim.heap_oracle import HeapSimulator
 
 
 def busy(n=2000):

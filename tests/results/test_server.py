@@ -73,6 +73,23 @@ class TestHeadlessRendering:
         detail = json.loads(body)
         assert [h["run_id"] for h in detail["history"]] == [1, 2]
 
+    def test_bench_page_renders_mixed_heap_history(self, tmp_path):
+        """Bench documents from before and after the heap A/B run was
+        retired render side by side: a speedup, then a dash."""
+        old = make_bench_doc()
+        old["speedup_vs_heap"] = 1.69
+        path = str(tmp_path / "r.sqlite")
+        with ResultsStore(path) as store:
+            ingest_doc(store, old, source="old")
+            ingest_doc(store, make_bench_doc(heap_ab=False), source="new")
+        status, _, body = Dashboard(path).render("/bench")
+        assert status == 200
+        rows = body.decode().split("<h2>bench runs</h2>", 1)[1]
+        old_row, new_row = rows.split("<tr>")[2:4]
+        assert '<td class="num">1.69x</td>' in old_row
+        assert '<td class="num">-</td>' in new_row
+        assert check_pages(path) == []
+
     def test_query_strings_are_ignored(self, db):
         assert Dashboard(db).render("/arena?refresh=1")[0] == 200
 

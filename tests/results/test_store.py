@@ -96,8 +96,10 @@ def make_faults_doc(seeds=(1, 2)) -> dict:
     return doc
 
 
-def make_bench_doc() -> dict:
-    return {
+def make_bench_doc(heap_ab: bool = True) -> dict:
+    """A schema-v3 bench document; ``heap_ab=False`` drops the heap A/B
+    keys, as ``repro bench`` has since the heap engine left ``src/``."""
+    doc = {
         "schema_version": 3, "quick": True, "python": "3.12.0",
         "scenarios": {
             "alltoall-lossy": {"scenario": "alltoall-lossy",
@@ -113,6 +115,9 @@ def make_bench_doc() -> dict:
                     "wall_s": 0.6, "events_per_sec": 83_000,
                     "overhead_ratio": 1.2},
     }
+    if not heap_ab:
+        del doc["heap_baseline"], doc["speedup_vs_heap"]
+    return doc
 
 
 def dumps(doc: dict) -> str:
@@ -263,6 +268,14 @@ class TestBenchIngest:
         # scenario row + heap baseline + traced run
         assert engines == {"calendar", "heap", "traced"}
 
+    def test_ingest_without_heap_baseline(self, tmp_path):
+        with ResultsStore(str(tmp_path / "r.sqlite")) as store:
+            receipt = ingest_doc(store, make_bench_doc(heap_ab=False))
+            engines = {r["engine"] for r in store.conn.execute(
+                "SELECT engine FROM bench_scenarios WHERE run_id=?",
+                (receipt["run_id"],))}
+        assert engines == {"calendar", "traced"}
+
     def test_tracked_bench_history_ingests(self, tmp_path):
         """The repo's real BENCH_engine.json is a valid ingest source."""
         path = os.path.join(REPO_ROOT, "BENCH_engine.json")
@@ -335,3 +348,15 @@ class TestQueries:
         keys = {(s["scenario"], s["engine"]) for s in data["series"]}
         assert ("alltoall-lossy", "calendar") in keys
         assert data["runs"][0]["tracing_overhead"] == 1.2
+
+    def test_bench_series_without_heap_baseline(self, tmp_path):
+        from repro.results.query import bench_series
+        path = str(tmp_path / "r.sqlite")
+        with ResultsStore(path) as store:
+            ingest_doc(store, make_bench_doc(), source="old")
+            ingest_doc(store, make_bench_doc(heap_ab=False), source="new")
+        data = bench_series(connect_readonly(path))
+        assert [r["speedup_vs_heap"] for r in data["runs"]] == [2.0, None]
+        keys = {(s["scenario"], s["engine"]) for s in data["series"]}
+        assert keys == {("alltoall-lossy", e)
+                        for e in ("calendar", "heap", "traced")}

@@ -90,10 +90,17 @@ class TestPacing:
         pair.nics[0].post_send(1, 1_000_000)
         pair.nics[1].expect_message(0, 1_000_000)
         sender = pair.nics[0].senders[FlowKey(0, 1)]
-        max_seen = 0
-        while pair.sim.step():
-            max_seen = max(max_seen, sender.inflight)
-        assert max_seen <= 4
+        seen = []
+
+        def observe(*_):
+            seen.append(sender.inflight)
+
+        # The trace hook runs before each event; one more look after the
+        # run sees the state the last event left behind.
+        pair.sim.trace = observe
+        pair.run()
+        observe()
+        assert max(seen) <= 4
         assert sender.complete
 
 

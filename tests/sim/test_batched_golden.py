@@ -1,8 +1,8 @@
 """Golden equality: batched dispatch vs. the heap reference engine.
 
-``Simulator.run_batched`` drains whole calendar buckets per step (one
-sort per claimed bucket, same-timestamp events folded into a single
-dispatch loop).  These tests pin its determinism contract on every
+``Simulator.run`` drains whole calendar buckets per step (one sort per
+claimed bucket, same-timestamp events folded into a single dispatch
+loop).  These tests pin its determinism contract on every
 benchmark scenario plus a fault-injected run: the **event sequence**
 (time, seq, callback qualname), the **flow-level outcomes**
 (completions, posted bytes, retransmissions), the **per-port busy
@@ -16,7 +16,8 @@ exact (scaled-down) geometries the perf numbers are measured on.
 import pytest
 
 from repro.harness.bench import BUILDERS, DEADLINE_NS
-from repro.sim.engine import HeapSimulator
+
+from tests.sim.heap_oracle import HeapSimulator
 
 
 def _rng_digest(rng):
