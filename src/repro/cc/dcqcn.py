@@ -27,7 +27,6 @@ from typing import Optional
 from repro.cc.base import CongestionControl
 from repro.sim.engine import US, Simulator
 from repro.sim.events import Event
-from repro.obs.timeseries import TimeSeries
 
 
 @dataclass(frozen=True)
@@ -64,8 +63,7 @@ class Dcqcn(CongestionControl):
     """Per-QP DCQCN reaction point."""
 
     def __init__(self, sim: Simulator, line_rate_bps: float,
-                 config: DcqcnConfig,
-                 rate_trace: Optional[TimeSeries] = None) -> None:
+                 config: DcqcnConfig) -> None:
         super().__init__(sim, line_rate_bps)
         self.config = config
         self.rate_current = float(line_rate_bps)
@@ -83,7 +81,6 @@ class Dcqcn(CongestionControl):
         self._increase_event: Optional[Event] = None
         self._alpha_event: Optional[Event] = None
 
-        self.rate_trace = rate_trace
         self.decreases = 0
         self.increases = 0
 
@@ -100,8 +97,6 @@ class Dcqcn(CongestionControl):
     def _set_rate(self, rate: float) -> None:
         self.rate_current = min(self.line_rate_bps,
                                 max(self.min_rate_bps, rate))
-        if self.rate_trace is not None:
-            self.rate_trace.record(self.sim.now, self.rate_current)
         if self.rec is not None:
             self.rec.cc_rate(self.sim.now, self.rec_loc,
                              self.rate_current)

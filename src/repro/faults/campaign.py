@@ -92,8 +92,8 @@ def run_cell(params: dict, seed: int) -> dict:
     audit = build_audit(recorder.records(NACK))
     audit_summary = audit.summary()
 
-    completion_ns = getattr(net, "trace_done_ns", None)
-    baseline_ns = getattr(base_net, "trace_done_ns", None)
+    completion_ns = net.done_ns
+    baseline_ns = base_net.done_ns
     tail_stretch = (round(completion_ns / baseline_ns, 6)
                     if completion_ns and baseline_ns else None)
 

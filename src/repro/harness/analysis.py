@@ -2,7 +2,7 @@
 
 ECMP's failure mode is *imbalance*: hash collisions leave some uplinks
 saturated while others idle.  :func:`link_utilization` exposes that
-directly from port counters, and :func:`jain_fairness` summarizes how
+directly from port counters, and :func:`jain_fairness` scores how
 evenly flows shared the fabric — packet spraying should push both toward
 uniformity.
 """

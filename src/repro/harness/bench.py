@@ -79,25 +79,6 @@ def _scale(quick: bool, full: int) -> int:
     return full // 8 if quick else full
 
 
-def _stop_when_done(net: Network, total: int) -> Callable[[], None]:
-    """Per-message completion callback: once every receiver is done, tear
-    the NIC timers down so the event queue drains and :meth:`Network.run`
-    returns — the benchmark then measures the traffic regime, not an
-    arbitrarily long tail of idle DCQCN timer ticks."""
-    state = {"left": total}
-
-    def one_done() -> None:
-        state["left"] -= 1
-        if state["left"] == 0:
-            # Remember when traffic actually finished: after stop() the
-            # drain semantics of run(until=...) advance the clock to the
-            # deadline, so net.now_ns alone no longer tells us.
-            net.bench_done_ns = net.now_ns
-            net.stop()
-
-    return one_done
-
-
 def _build_incast(quick: bool, sim, recorder=None) -> Network:
     topo = TopologySpec(kind="leaf_spine", num_tors=2, num_spines=2,
                         nics_per_tor=8, link_bandwidth_bps=100e9,
@@ -109,7 +90,7 @@ def _build_incast(quick: bool, sim, recorder=None) -> Network:
     # were dominated by per-run constant costs and timer jitter, making
     # the regression gate noisy (~20k events measured in ~60 ms).
     nbytes = _scale(quick, 2_000_000)
-    done = _stop_when_done(net, 15)
+    done = net.stop_when_done(15)
     for src in range(1, 16):
         net.post_message(src, 0, nbytes, on_receiver_done=done)
     return net
@@ -125,7 +106,7 @@ def _build_alltoall(quick: bool, sim, recorder=None) -> Network:
                   recorder=recorder)
     nbytes = _scale(quick, 120_000)
     nodes = 32
-    done = _stop_when_done(net, nodes * (nodes - 1))
+    done = net.stop_when_done(nodes * (nodes - 1))
     for src in range(nodes):
         for dst in range(nodes):
             if src != dst:
@@ -151,7 +132,7 @@ def _build_lossy(quick: bool, sim, recorder=None) -> Network:
     # ~4.3k events in ~11 ms — far too short to time reliably).
     nbytes = _scale(quick, 8_000_000)
     pairs = ((0, 2), (1, 3), (2, 0), (3, 1))
-    done = _stop_when_done(net, len(pairs))
+    done = net.stop_when_done(len(pairs))
     for src, dst in pairs:
         net.post_message(src, dst, nbytes, on_receiver_done=done)
     return net
@@ -198,7 +179,7 @@ def run_scenario(name: str, *, quick: bool = False,
         scenario=name, engine="calendar", events=events,
         wall_s=round(wall, 4),
         events_per_sec=round(events / wall) if wall > 0 else 0,
-        sim_time_ns=getattr(net, "bench_done_ns", net.now_ns),
+        sim_time_ns=net.done_ns if net.done_ns is not None else net.now_ns,
         completed=completed)
 
 

@@ -70,6 +70,39 @@ def _output_flag_parent(*, with_json: bool) -> argparse.ArgumentParser:
     return parent
 
 
+def _runner_flag_parent() -> argparse.ArgumentParser:
+    """Parent parser with the job-runner flags of ``sweep``, ``faults
+    run`` and ``arena``; :func:`_runner_kwargs` turns them into the
+    keyword arguments their run functions share."""
+    parent = argparse.ArgumentParser(add_help=False)
+    parent.add_argument("--workers", type=int, default=1,
+                        help="parallel worker subprocesses (1 = serial)")
+    parent.add_argument("--timeout", type=float, default=None,
+                        metavar="S",
+                        help="per-cell wall-clock timeout in seconds "
+                             "(workers > 1 only)")
+    parent.add_argument("--retries", type=int, default=2,
+                        help="retries per cell on worker crash/timeout")
+    parent.add_argument("--resume", metavar="PATH", default=None,
+                        help="JSONL checkpoint: completed cells stream "
+                             "here and are skipped on re-run")
+    parent.add_argument("--cache", metavar="DB", default=None,
+                        help="results store used as a read-through run "
+                             "cache (cells with stored results skip "
+                             "execution)")
+    parent.add_argument("--progress", action="store_true",
+                        help="print per-cell progress lines")
+    return parent
+
+
+def _runner_kwargs(args: argparse.Namespace, console: Console) -> dict:
+    return {"workers": args.workers, "timeout_s": args.timeout,
+            "retries": args.retries, "checkpoint": args.resume,
+            "cache": args.cache,
+            "progress": console.progress_printer() if args.progress
+            else None}
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro",
@@ -83,6 +116,7 @@ def build_parser() -> argparse.ArgumentParser:
     # ``collective --json PATH`` predates the global flag and keeps its
     # meaning; use ``repro --json collective`` for machine output there.
     quiet_only = _output_flag_parent(with_json=False)
+    runner_flags = _runner_flag_parent()
     sub = parser.add_subparsers(dest="command", required=True)
 
     mem = sub.add_parser("memory", parents=[out_flags],
@@ -114,28 +148,12 @@ def build_parser() -> argparse.ArgumentParser:
     col.add_argument("--json", metavar="PATH", default=None,
                      help="write the run summary as JSON")
 
-    swp = sub.add_parser("sweep", parents=[out_flags],
+    swp = sub.add_parser("sweep", parents=[out_flags, runner_flags],
                          help="a full Fig. 5 panel")
     swp.add_argument("--collective", default="allreduce",
                      choices=("allreduce", "alltoall"))
     swp.add_argument("--schemes", default="ecmp,ar,themis")
     swp.add_argument("--seed", type=int, default=1)
-    swp.add_argument("--workers", type=int, default=1,
-                     help="parallel worker subprocesses (1 = serial)")
-    swp.add_argument("--resume", metavar="PATH", default=None,
-                     help="JSONL checkpoint: completed cells stream "
-                          "here and are skipped on re-run")
-    swp.add_argument("--timeout", type=float, default=None, metavar="S",
-                     help="per-job wall-clock timeout in seconds "
-                          "(workers > 1 only)")
-    swp.add_argument("--retries", type=int, default=2,
-                     help="retries per job on worker crash/timeout")
-    swp.add_argument("--cache", metavar="DB", default=None,
-                     help="results store used as a read-through run "
-                          "cache (cells with stored results skip "
-                          "execution)")
-    swp.add_argument("--progress", action="store_true",
-                     help="print per-job progress lines")
 
     job = sub.add_parser("jobs", parents=[out_flags],
                          help="status of a job checkpoint file")
@@ -207,7 +225,7 @@ def build_parser() -> argparse.ArgumentParser:
                          help="fault-injection campaigns "
                               "(repro.faults scenarios)")
     flt_sub = flt.add_subparsers(dest="faults_command", required=True)
-    flt_run = flt_sub.add_parser("run", parents=[out_flags],
+    flt_run = flt_sub.add_parser("run", parents=[out_flags, runner_flags],
                                  help="run a campaign on the job runner")
     spec_src = flt_run.add_mutually_exclusive_group(required=True)
     spec_src.add_argument("--spec", metavar="PATH",
@@ -219,22 +237,9 @@ def build_parser() -> argparse.ArgumentParser:
                          help="number of seeds (cells) to run")
     flt_run.add_argument("--seed-base", type=int, default=1,
                          help="first seed value")
-    flt_run.add_argument("--workers", type=int, default=1,
-                         help="parallel worker subprocesses")
-    flt_run.add_argument("--timeout", type=float, default=None,
-                         metavar="S", help="per-cell wall timeout")
-    flt_run.add_argument("--retries", type=int, default=2,
-                         help="retries per cell on crash/timeout")
-    flt_run.add_argument("--resume", metavar="PATH", default=None,
-                         help="JSONL checkpoint for resume")
-    flt_run.add_argument("--cache", metavar="DB", default=None,
-                         help="results store used as a read-through "
-                              "run cache")
     flt_run.add_argument("--out", metavar="PATH", default=None,
                          help="write the repro-faults-v1 campaign "
                               "document as JSON")
-    flt_run.add_argument("--progress", action="store_true",
-                         help="print per-cell progress lines")
     flt_sub.add_parser("list", parents=[out_flags],
                        help="list builtin scenarios")
     flt_show = flt_sub.add_parser("show", parents=[out_flags],
@@ -245,7 +250,7 @@ def build_parser() -> argparse.ArgumentParser:
     show_src.add_argument("--name", metavar="SCENARIO",
                           help="builtin scenario name")
 
-    arn = sub.add_parser("arena", parents=[out_flags],
+    arn = sub.add_parser("arena", parents=[out_flags, runner_flags],
                          help="LB policy head-to-head ranking "
                               "(baseline zoo arena)")
     arn.add_argument("--quick", action="store_true",
@@ -273,21 +278,8 @@ def build_parser() -> argparse.ArgumentParser:
                      help="message bytes per workload (default: preset)")
     arn.add_argument("--deadline-us", type=float, default=None,
                      help="per-cell sim-time budget (default: preset)")
-    arn.add_argument("--workers", type=int, default=1,
-                     help="parallel worker subprocesses (1 = serial)")
-    arn.add_argument("--timeout", type=float, default=None, metavar="S",
-                     help="per-cell wall timeout (workers > 1 only)")
-    arn.add_argument("--retries", type=int, default=2,
-                     help="retries per cell on crash/timeout")
-    arn.add_argument("--resume", metavar="PATH", default=None,
-                     help="JSONL checkpoint for resume")
-    arn.add_argument("--cache", metavar="DB", default=None,
-                     help="results store used as a read-through run "
-                          "cache")
     arn.add_argument("--out", metavar="PATH", default=None,
                      help="write the arena document as JSON")
-    arn.add_argument("--progress", action="store_true",
-                     help="print per-cell progress lines")
 
     prof = sub.add_parser("profile", parents=[out_flags],
                           help="wall-time histogram per event-handler "
@@ -434,12 +426,8 @@ def cmd_sweep(args: argparse.Namespace, console: Console) -> int:
     schemes = tuple(s.strip() for s in args.schemes.split(",") if s.strip())
     counters = JobCounters()
     result = run_fig5_sweep(args.collective, schemes=schemes,
-                            seed=args.seed, workers=args.workers,
-                            timeout_s=args.timeout, retries=args.retries,
-                            checkpoint=args.resume, cache=args.cache,
-                            counters=counters,
-                            progress=console.progress_printer()
-                            if args.progress else None)
+                            seed=args.seed, counters=counters,
+                            **_runner_kwargs(args, console))
     rows = []
     cells = {}
     for cond in DCQCN_SWEEP:
@@ -698,11 +686,7 @@ def cmd_faults(args: argparse.Namespace, console: Console) -> int:
     console.info(f"campaign {spec['name']!r}: {len(spec['events'])} "
                  f"fault events x {len(seeds)} seeds "
                  f"(workers={args.workers})")
-    summary = run_campaign(spec, seeds, workers=args.workers,
-                           timeout_s=args.timeout, retries=args.retries,
-                           checkpoint=args.resume, cache=args.cache,
-                           progress=console.progress_printer()
-                           if args.progress else None)
+    summary = run_campaign(spec, seeds, **_runner_kwargs(args, console))
     rows = []
     for cell in summary["cells"]:
         goodput = cell["goodput"]
@@ -772,10 +756,7 @@ def cmd_arena(args: argparse.Namespace, console: Console) -> int:
                  f"{len(topologies)} topologies x {len(seeds)} seeds "
                  f"= {n_cells} cells (workers={args.workers})")
     doc = arena.run_arena(
-        workers=args.workers, timeout_s=args.timeout,
-        retries=args.retries, checkpoint=args.resume, cache=args.cache,
-        counters=counters,
-        progress=console.progress_printer() if args.progress else None,
+        counters=counters, **_runner_kwargs(args, console),
         lbs=lbs, transports=transports, ccs=ccs, workloads=workloads,
         topologies=topologies, seeds=seeds, quick=args.quick,
         message_bytes=args.bytes, deadline_us=args.deadline_us)

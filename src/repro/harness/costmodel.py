@@ -13,8 +13,9 @@ the engines' ``trace`` hook.
 
 Fitting (one calibration run)
 -----------------------------
-A calibration scenario runs once with a **timing trace**: the trace hook
-timestamps every dispatch, so the gap between consecutive hook calls is
+A calibration scenario runs once under the handler-timing
+:class:`~repro.obs.profile.Profiler`: its trace hook timestamps every
+dispatch, so the gap between consecutive hook calls is
 event *n*'s cost (dispatch + its slice of engine-loop bookkeeping).  The
 instrumentation inflates every event by a near-constant amount, so the
 per-class means are rescaled by ``alpha = untraced_wall / traced_wall``
@@ -36,8 +37,10 @@ from __future__ import annotations
 import gc
 import time
 from collections import Counter
-from dataclasses import dataclass, field
-from typing import Callable, Optional
+from dataclasses import dataclass
+from typing import Optional
+
+from repro.obs.profile import Profiler
 
 #: Scenarios the per-class costs are fitted on (pooled, count-weighted
 #: when more than one).  alltoall exercises every hot class (spray,
@@ -146,7 +149,7 @@ def measure_mix(scenario: str, *, quick: bool = False
     net.sim.trace = trace
     net.run(until_ns=DEADLINE_NS)
     executed = net.sim.executed
-    sim_time_ns = getattr(net, "bench_done_ns", net.now_ns)
+    sim_time_ns = net.done_ns if net.done_ns is not None else net.now_ns
     batches = net.sim.batches
     net.stop()
     return counts, executed, sim_time_ns, batches
@@ -156,43 +159,29 @@ def _timed_run(scenario: str, *, quick: bool
                ) -> tuple[dict, Counter, float]:
     """Timing-trace run: per-class accumulated wall seconds + counts.
 
-    The gap between consecutive trace callbacks is attributed to the
-    earlier event, so the per-class sums add up to (nearly) the whole
-    loop wall time, engine bookkeeping included.
+    Runs under :class:`repro.obs.profile.Profiler`, which charges the
+    gap between consecutive trace callbacks to the earlier event and
+    closes the last gap when the run ends, so the per-class sums add up
+    to (nearly) the whole loop wall time, engine bookkeeping included.
     """
     from repro.harness.bench import BUILDERS, DEADLINE_NS
 
     net = BUILDERS[scenario](quick, None)
-    acc: dict[str, float] = {}
-    counts: Counter = Counter()
-    perf = time.perf_counter
-    state: list = [None, 0.0]
-
-    def trace(t, seq, callback) -> None:
-        now = perf()
-        prev = state[0]
-        name = callback.__qualname__
-        if prev is not None:
-            acc[prev] = acc.get(prev, 0.0) + (now - state[1])
-        counts[name] += 1
-        state[0] = name
-        state[1] = now
-
-    net.sim.trace = trace
     gc.collect()
     gc_was_enabled = gc.isenabled()
     gc.disable()
     try:
-        start = perf()
-        net.run(until_ns=DEADLINE_NS)
-        end = perf()
+        with Profiler(net.sim) as profiler:
+            start = time.perf_counter()
+            net.run(until_ns=DEADLINE_NS)
+            end = time.perf_counter()
     finally:
         if gc_was_enabled:
             gc.enable()
-    if state[0] is not None:  # close out the final event
-        acc[state[0]] = acc.get(state[0], 0.0) + (end - state[1])
     net.stop()
-    return acc, counts, end - start
+    stats = profiler.stats.values()
+    return ({s.name: s.total_s for s in stats},
+            Counter({s.name: s.calls for s in stats}), end - start)
 
 
 def _untraced_wall(scenario: str, *, quick: bool) -> float:

@@ -13,7 +13,7 @@ from typing import TYPE_CHECKING, Callable, Optional
 
 from repro.net.packet import FlowKey, Packet
 from repro.sim.engine import US, Simulator
-from repro.obs.timeseries import RateMeter, TimeSeries, WindowedCounter
+from repro.obs.timeseries import RateMeter, WindowedCounter
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.net.port import Port
@@ -147,7 +147,6 @@ class Metrics:
         self._watched: set[FlowKey] = set()
         self.sent_counters: dict[FlowKey, WindowedCounter] = {}
         self.retx_counters: dict[FlowKey, WindowedCounter] = {}
-        self.rate_traces: dict[FlowKey, TimeSeries] = {}
         self.throughput_meters: dict[FlowKey, RateMeter] = {}
 
         # Oracle hook used by the Ideal transport: called on every data
@@ -174,18 +173,14 @@ class Metrics:
         return stats
 
     def watch_flow(self, flow: FlowKey) -> None:
-        """Enable per-window traces for one flow (Fig. 1b/1c plumbing)."""
+        """Enable per-window traces for one flow (Fig. 1b plumbing)."""
         self._watched.add(flow)
         self.sent_counters.setdefault(
             flow, WindowedCounter(self.trace_window_ns))
         self.retx_counters.setdefault(
             flow, WindowedCounter(self.trace_window_ns))
-        self.rate_traces.setdefault(flow, TimeSeries(f"rate {flow}"))
         self.throughput_meters.setdefault(
             flow, RateMeter(self.trace_window_ns))
-
-    def rate_trace_for(self, flow: FlowKey) -> Optional[TimeSeries]:
-        return self.rate_traces.get(flow)
 
     # ------------------------------------------------------------------
     # Event sinks

@@ -24,6 +24,7 @@ from repro.cc.dcqcn import DcqcnConfig
 from repro.collectives.group import interleaved_ring_groups
 from repro.harness.network import Network, NetworkConfig, TopologySpec
 from repro.net.packet import FlowKey
+from repro.obs.record import CC, Recorder
 from repro.sim.engine import SEC, US
 
 #: Paper value: 100 MB per flow at 100 Gbps.  Pure-Python default is
@@ -88,7 +89,9 @@ def run_motivation(config: Optional[NetworkConfig] = None, *,
     """Run the two-ring workload and collect the Fig. 1 measurements."""
     if config is None:
         config = motivation_config()
-    net = Network(config)
+    # The Fig. 1c rate trace is the watched flow's CC rate records.
+    recorder = Recorder(categories=(CC,), retain={CC})
+    net = Network(config, recorder=recorder)
     num_nodes = (config.topology.num_tors
                  * config.topology.nics_per_tor)
     watched = net.watch_flow(*watch)
@@ -121,15 +124,17 @@ def run_motivation(config: Optional[NetworkConfig] = None, *,
     result.retx_ratio_series = type(sent).ratio_series(retx, sent)
     result.avg_retx_ratio = metrics.spurious_ratio
 
-    trace = metrics.rate_traces[watched]
-    result.rate_series_gbps = [(t, v / 1e9) for t, v in trace.samples]
+    loc = f"cc:{watched}"
+    trace = [(t, data["rate_bps"]) for t, _, _, where, data
+             in recorder.records(CC) if where == loc]
+    result.rate_series_gbps = [(t, v / 1e9) for t, v in trace]
     stats = metrics.flows.get(watched)
-    if trace.samples and stats is not None:
+    if trace and stats is not None:
         end = stats.sender_done_ns or net.now_ns
         # Time-weighted mean rate from flow start to completion, seeding
         # the series with the initial line rate before the first change.
         samples = [(stats.start_ns, config.topology.link_bandwidth_bps)]
-        samples += [s for s in trace.samples if s[0] <= end]
+        samples += [s for s in trace if s[0] <= end]
         samples.append((end, samples[-1][1]))
         total = sum(v * (t1 - t0) for (t0, v), (t1, _)
                     in zip(samples, samples[1:]))

@@ -140,6 +140,9 @@ class Network:
         #: Observability recorder (repro.obs); channels are threaded to
         #: every component in _wire_recorder().  None = tracing off.
         self.recorder = recorder
+        #: When the last message of a stop_when_done() countdown was
+        #: received (None until then).
+        self.done_ns: Optional[int] = None
         self.rng = SimRng(config.seed)
         self.metrics = Metrics(self.sim)
         #: Every RepsLB instance built by _make_lb (populated during
@@ -234,8 +237,7 @@ class Network:
         def factory(flow: FlowKey) -> CongestionControl:
             if self.config.dcqcn is None or self.config.transport == "ideal":
                 return FixedRate(self.sim, line_rate_bps)
-            cc = Dcqcn(self.sim, line_rate_bps, self.config.dcqcn,
-                       rate_trace=self.metrics.rate_trace_for(flow))
+            cc = Dcqcn(self.sim, line_rate_bps, self.config.dcqcn)
             if self.recorder is not None:
                 cc.rec = self.recorder.channel(obs_record.CC)
                 # Only pay the label f-string when the CC category is on.
@@ -490,6 +492,24 @@ class Network:
         self.nics[dst].expect_message(src, nbytes, qp=qp,
                                       on_done=on_receiver_done)
         return flow
+
+    def stop_when_done(self, total: int) -> Callable[[], None]:
+        """Per-message completion callback (``on_receiver_done``): once
+        *total* receivers are done, record :attr:`done_ns` and
+        :meth:`stop` the NIC timers so the event queue drains — a run
+        then measures the traffic, not an idle tail of DCQCN timer
+        ticks.  ``run(until)`` still advances the clock to its bound, so
+        ``now_ns`` alone no longer tells when traffic finished."""
+        left = total
+
+        def one_done() -> None:
+            nonlocal left
+            left -= 1
+            if left == 0:
+                self.done_ns = self.sim.now
+                self.stop()
+
+        return one_done
 
     def watch_flow(self, src: int, dst: int, qp: int = 0) -> FlowKey:
         """Enable traces for a flow.  Call before posting messages."""

@@ -9,7 +9,7 @@ which is what the causality audit exists to explain.
 
 from __future__ import annotations
 
-from typing import Callable, Optional
+from typing import Optional
 
 from repro.harness.network import Network, NetworkConfig, TopologySpec
 from repro.obs.record import ALL_CATEGORIES, NACK, Recorder
@@ -18,18 +18,6 @@ from repro.switch.switch import Switch
 
 #: Simulated-time deadline: a wedged run must not hang the CLI.
 TRACE_DEADLINE_NS = 800 * MS
-
-
-def _stop_when_done(net: Network, total: int) -> Callable[[], None]:
-    state = {"left": total}
-
-    def one_done() -> None:
-        state["left"] -= 1
-        if state["left"] == 0:
-            net.trace_done_ns = net.now_ns
-            net.stop()
-
-    return one_done
 
 
 def build_traced_alltoall(*, nodes: int = 32, loss: float = 0.01,
@@ -74,7 +62,7 @@ def build_traced_alltoall(*, nodes: int = 32, loss: float = 0.01,
             for port in tor.ports:
                 if isinstance(port.peer, Switch):
                     port.set_loss(loss, loss_rng)
-    done = _stop_when_done(net, nodes * (nodes - 1))
+    done = net.stop_when_done(nodes * (nodes - 1))
     for src in range(nodes):
         for dst in range(nodes):
             if src != dst:

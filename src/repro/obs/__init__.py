@@ -3,13 +3,13 @@
 Structured tracing (:mod:`repro.obs.record`), the always-on flight
 recorder, the NACK causality audit (:mod:`repro.obs.nacks`),
 Perfetto export (:mod:`repro.obs.perfetto`), engine profiling
-(:mod:`repro.obs.profile`), time-series primitives
-(:mod:`repro.obs.timeseries`), the per-hop packet capture middleware
-(:mod:`repro.obs.capture`), and the CLI console helper
-(:mod:`repro.obs.console`).
+(:mod:`repro.obs.profile`), windowed counters
+(:mod:`repro.obs.timeseries`), and the CLI console helper
+(:mod:`repro.obs.console`).  Per-hop packet capture is the recorder's
+``PACKET`` category, retained and read through ``records(PACKET)``.
 
-Only dependency-light modules are imported eagerly; ``capture``,
-``nacks``, and ``perfetto`` (which pull in the network stack) load
+Only dependency-light modules are imported eagerly; ``nacks`` and
+``perfetto`` (which pull in the network stack) load
 lazily via module ``__getattr__`` so importing :mod:`repro.obs` from
 low-level packages can never create an import cycle.
 """
@@ -20,8 +20,7 @@ from repro.obs.record import (ALL_CATEGORIES, CC, DROP, ECN, FAULT, NACK,
                               PACKET, PFC, QP, QUEUE, InvariantError,
                               Recorder, active_recorder, check_invariant,
                               dump_active_flight, set_active)
-from repro.obs.timeseries import (RateMeter, TimeSeries, WindowedCounter,
-                                  summarize)
+from repro.obs.timeseries import RateMeter, WindowedCounter
 
 __all__ = [
     "ALL_CATEGORIES", "PACKET", "QUEUE", "ECN", "DROP", "NACK", "PFC",
@@ -29,17 +28,13 @@ __all__ = [
     "Recorder", "InvariantError", "check_invariant", "set_active",
     "active_recorder", "dump_active_flight",
     "Console", "Profiler",
-    "TimeSeries", "WindowedCounter", "RateMeter", "summarize",
+    "WindowedCounter", "RateMeter",
     # Lazily loaded:
-    "PacketTracer", "TraceEvent", "attach_tracer",
     "build_audit", "format_report", "NackAudit", "NackDecision",
     "export_chrome_trace", "write_chrome_trace", "validate_chrome_trace",
 ]
 
 _LAZY = {
-    "PacketTracer": ("repro.obs.capture", "PacketTracer"),
-    "TraceEvent": ("repro.obs.capture", "TraceEvent"),
-    "attach_tracer": ("repro.obs.capture", "attach_tracer"),
     "build_audit": ("repro.obs.nacks", "build_audit"),
     "format_report": ("repro.obs.nacks", "format_report"),
     "NackAudit": ("repro.obs.nacks", "NackAudit"),

@@ -46,7 +46,6 @@ class Profiler:
         self.stats: dict[str, HandlerStats] = {}
         self._prev_key: str | None = None
         self._prev_clock = 0.0
-        self._names: dict[int, str] = {}   # id(callback) -> qualname cache
         self._attached = False
 
     # ------------------------------------------------------------------
@@ -76,12 +75,11 @@ class Profiler:
     def _hook(self, _time_ns: int, _seq: int, callback) -> None:
         now = time.perf_counter()
         self._flush(now)
-        key = self._names.get(id(callback))
-        if key is None:
-            key = getattr(callback, "__qualname__", None) \
-                or repr(callback)
-            self._names[id(callback)] = key
-        self._prev_key = key
+        # Looked up per call, not cached by id(): bound methods are
+        # created per schedule and freed after dispatch, so an id is
+        # soon reused by a method of another handler.
+        self._prev_key = getattr(callback, "__qualname__", None) \
+            or repr(callback)
         self._prev_clock = now
 
     def _flush(self, now: float) -> None:

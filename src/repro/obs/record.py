@@ -34,13 +34,6 @@ equality tests pin this per category).  ``data`` never holds a live
 :class:`Packet` reference (packets are pooled and recycled); immutable
 ``FlowKey`` tuples are safe to hold and are stringified at
 materialization time.
-
-Per-category **sampling** (``sample={QUEUE: 16}``) keeps every k-th
-event of a category and drops the rest before any recording work
-happens; sampled-out events are invisible (not counted, not ringed).
-
-:meth:`columns` offers a typed columnar view (``array('q')``/list per
-field) of the uniform high-rate categories for offline analysis.
 """
 
 from __future__ import annotations
@@ -49,7 +42,6 @@ import itertools
 import json
 import os
 import weakref
-from array import array
 from collections import deque
 from pathlib import Path
 from typing import TYPE_CHECKING, Iterable, Optional
@@ -202,17 +194,11 @@ class Recorder:
         unbounded append-only buffer of compact rows) for offline
         analysis — e.g. ``{NACK}`` for the causality audit, or all
         categories for a Perfetto export.
-    sample:
-        Optional ``{category: k}`` striding — keep every k-th event of
-        that category, drop the rest before any recording work.  Absent
-        categories (and ``k=1``) record everything.  Sampled-out events
-        do not count toward :meth:`total_events`.
     """
 
     def __init__(self, categories: Optional[Iterable[str]] = None, *,
                  ring_capacity: int = DEFAULT_RING_CAPACITY,
-                 retain: Iterable[str] = (),
-                 sample: Optional[dict] = None) -> None:
+                 retain: Iterable[str] = ()) -> None:
         cats = ALL_CATEGORIES if categories is None else tuple(categories)
         unknown = set(cats) - set(ALL_CATEGORIES)
         if unknown:
@@ -224,14 +210,6 @@ class Recorder:
             raise ValueError(f"unknown retain categories: {sorted(unknown)}")
         # Retaining a disabled category would silently record nothing.
         self.retain = retained & self.enabled
-        sample = dict(sample or {})
-        unknown = set(sample) - set(ALL_CATEGORIES)
-        if unknown:
-            raise ValueError(f"unknown sample categories: {sorted(unknown)}")
-        for cat, k in sample.items():
-            if int(k) < 1:
-                raise ValueError(f"sample stride for {cat} must be >= 1")
-        self.sample = {cat: int(k) for cat, k in sample.items()}
 
         # Interned name tables (index = name id used in struct rows).
         self._names: list[str] = [n for n, _, _ in _STATIC_NAMES]
@@ -266,18 +244,6 @@ class Recorder:
         self._ret_cc = self._retained.get(CC)
         self._ret_fault = self._retained.get(FAULT)
 
-        # Sampling strides (1 = keep everything) + seen counters.
-        self._k_packet = self.sample.get(PACKET, 1)
-        self._k_queue = self.sample.get(QUEUE, 1)
-        self._k_ecn = self.sample.get(ECN, 1)
-        self._k_drop = self.sample.get(DROP, 1)
-        self._k_nack = self.sample.get(NACK, 1)
-        self._k_pfc = self.sample.get(PFC, 1)
-        self._k_qp = self.sample.get(QP, 1)
-        self._k_cc = self.sample.get(CC, 1)
-        self._k_fault = self.sample.get(FAULT, 1)
-        self._seen = {cat: 0 for cat in ALL_CATEGORIES}
-
         self.dumps: list[Path] = []
 
     # ------------------------------------------------------------------
@@ -303,25 +269,20 @@ class Recorder:
         self._counts.append(0)
         return name_id
 
-    def _sampled_out(self, cat: str, k: int) -> bool:
-        seen = self._seen[cat] + 1
-        self._seen[cat] = seen
-        return bool(seen % k)
-
     # ------------------------------------------------------------------
     # Specialized emitter closures for the two hottest call sites
     # (Switch.receive and Port enqueue/dequeue).  A closure that
     # captured the ring/counts once costs a plain function call per
     # event — no ``self`` rebinding and no per-emit attribute loads —
     # which is worth ~25% of the whole tracing overhead at full rate.
-    # Non-default configurations (sampling, retention, subclassed
-    # emitters) fall back to the bound methods below.
+    # Non-default configurations (retention, subclassed emitters) fall
+    # back to the bound methods below.
     # ------------------------------------------------------------------
     def hop_emitter(self):
         """Callable for ``Switch.rec``: same signature as
         :meth:`packet_hop`."""
         if (type(self).packet_hop is not Recorder.packet_hop
-                or self._k_packet != 1 or self._ret_packet is not None):
+                or self._ret_packet is not None):
             return self.packet_hop
         ring_append = self._ring_append
         counts = self._counts
@@ -338,7 +299,7 @@ class Recorder:
         signatures as :meth:`queue_enq`/:meth:`queue_deq`."""
         if (type(self).queue_enq is not Recorder.queue_enq
                 or type(self).queue_deq is not Recorder.queue_deq
-                or self._k_queue != 1 or self._ret_queue is not None):
+                or self._ret_queue is not None):
             return self.queue_enq, self.queue_deq
         ring_append = self._ring_append
         counts = self._counts
@@ -361,9 +322,6 @@ class Recorder:
     # pooled Packet, whose fields are recycled after delivery.
     # ------------------------------------------------------------------
     def packet_hop(self, t: int, loc: str, packet: "Packet") -> None:
-        if self._k_packet != 1 and self._sampled_out(PACKET,
-                                                     self._k_packet):
-            return
         row = (_ID_HOP, t, loc, packet.pkt_id, packet.ptype, packet.flow,
                packet.psn, packet.epsn, packet.path_index, packet.is_retx)
         self._ring_append(row)
@@ -375,8 +333,6 @@ class Recorder:
                   backlog: int) -> None:
         """``queue_sample(..., "enq", ...)`` minus the action lookup —
         the Port hot path fires this once per enqueued packet."""
-        if self._k_queue != 1 and self._sampled_out(QUEUE, self._k_queue):
-            return
         row = (_ID_Q_ENQ, t, loc, queued_bytes, backlog)
         self._ring_append(row)
         self._counts[_ID_Q_ENQ] += 1
@@ -385,8 +341,6 @@ class Recorder:
 
     def queue_deq(self, t: int, loc: str, queued_bytes: int,
                   backlog: int) -> None:
-        if self._k_queue != 1 and self._sampled_out(QUEUE, self._k_queue):
-            return
         row = (_ID_Q_DEQ, t, loc, queued_bytes, backlog)
         self._ring_append(row)
         self._counts[_ID_Q_DEQ] += 1
@@ -396,8 +350,6 @@ class Recorder:
     def queue_sample(self, t: int, loc: str, action: str,
                      queued_bytes: int, backlog: int) -> None:
         """Enqueue/dequeue with the resulting queue depth."""
-        if self._k_queue != 1 and self._sampled_out(QUEUE, self._k_queue):
-            return
         name_id = self._queue_ids.get(action)
         if name_id is None:
             name_id = self._queue_ids[action] = self._intern(
@@ -410,8 +362,6 @@ class Recorder:
 
     def ecn_mark(self, t: int, loc: str, packet: "Packet",
                  queued_bytes: int) -> None:
-        if self._k_ecn != 1 and self._sampled_out(ECN, self._k_ecn):
-            return
         row = (_ID_ECN, t, loc, packet.pkt_id, packet.psn, packet.flow,
                queued_bytes)
         self._ring_append(row)
@@ -421,8 +371,6 @@ class Recorder:
 
     def drop(self, t: int, loc: str, packet: "Packet",
              reason: str = "tail") -> None:
-        if self._k_drop != 1 and self._sampled_out(DROP, self._k_drop):
-            return
         row = (_ID_DROP, t, loc, packet.pkt_id, packet.ptype, packet.flow,
                packet.psn, reason)
         self._ring_append(row)
@@ -433,8 +381,6 @@ class Recorder:
     def nack_emit(self, t: int, loc: str, flow: "FlowKey", epsn: int,
                   trigger_psn: Optional[int]) -> None:
         """A receiver generated a NACK for *epsn* on seeing *trigger_psn*."""
-        if self._k_nack != 1 and self._sampled_out(NACK, self._k_nack):
-            return
         row = (_ID_NACK_EMIT, t, loc, flow, epsn, trigger_psn)
         self._ring_append(row)
         self._counts[_ID_NACK_EMIT] += 1
@@ -447,8 +393,6 @@ class Recorder:
                       armed: bool = False,
                       guard: Optional[str] = None) -> None:
         """Themis-D decision for one NACK (Eq. 3 evaluation)."""
-        if self._k_nack != 1 and self._sampled_out(NACK, self._k_nack):
-            return
         row = (_ID_NACK_CLASSIFY, t, loc, flow, epsn, verdict, tpsn,
                n_paths, ring_len, armed, guard)
         self._ring_append(row)
@@ -459,8 +403,6 @@ class Recorder:
     def nack_compensate(self, t: int, loc: str, flow: "FlowKey",
                         bepsn: int, prove_psn: int) -> None:
         """A previously blocked ePSN was proven lost; NACK regenerated."""
-        if self._k_nack != 1 and self._sampled_out(NACK, self._k_nack):
-            return
         row = (_ID_NACK_COMPENSATE, t, loc, flow, bepsn, prove_psn)
         self._ring_append(row)
         self._counts[_ID_NACK_COMPENSATE] += 1
@@ -470,8 +412,6 @@ class Recorder:
     def nack_cancel(self, t: int, loc: str, flow: "FlowKey", bepsn: int,
                     reason: str) -> None:
         """Armed compensation dismissed (the blocked ePSN showed up)."""
-        if self._k_nack != 1 and self._sampled_out(NACK, self._k_nack):
-            return
         row = (_ID_NACK_CANCEL, t, loc, flow, bepsn, reason)
         self._ring_append(row)
         self._counts[_ID_NACK_CANCEL] += 1
@@ -480,8 +420,6 @@ class Recorder:
 
     def pfc(self, t: int, loc: str, action: str,
             occupancy_bytes: int) -> None:
-        if self._k_pfc != 1 and self._sampled_out(PFC, self._k_pfc):
-            return
         name_id = self._pfc_ids.get(action)
         if name_id is None:
             # The display name is formatted once per distinct action,
@@ -496,8 +434,6 @@ class Recorder:
 
     def qp_state(self, t: int, loc: str, flow: "FlowKey", state: str,
                  **detail) -> None:
-        if self._k_qp != 1 and self._sampled_out(QP, self._k_qp):
-            return
         row = (_ID_QP_STATE, t, loc, flow, state, detail)
         self._ring_append(row)
         self._counts[_ID_QP_STATE] += 1
@@ -505,8 +441,6 @@ class Recorder:
             self._ret_qp.append(row)
 
     def cc_rate(self, t: int, loc: str, rate_bps: float) -> None:
-        if self._k_cc != 1 and self._sampled_out(CC, self._k_cc):
-            return
         row = (_ID_CC_RATE, t, loc, rate_bps)
         self._ring_append(row)
         self._counts[_ID_CC_RATE] += 1
@@ -523,8 +457,6 @@ class Recorder:
         audit relies on these events to explain every compensation
         decision made around a path failure.
         """
-        if self._k_fault != 1 and self._sampled_out(FAULT, self._k_fault):
-            return
         name_id = self._fault_ids.get(action)
         if name_id is None:
             name_id = self._fault_ids[action] = self._intern(
@@ -584,68 +516,6 @@ class Recorder:
         """Per-event-name counts plus a total, for Metrics.summary()."""
         out = dict(sorted(self.counts.items()))
         out["total"] = self.total_events()
-        return out
-
-    # ------------------------------------------------------------------
-    # Typed columnar export
-    # ------------------------------------------------------------------
-    #: Column layouts of the uniform (fixed-row) categories:
-    #: field name -> (array typecode or None for a list, row extractor;
-    #: a ``None`` extractor means "interned event name").
-    _COLUMN_SPECS = {
-        PACKET: (("t", "q", lambda e: e[1]),
-                 ("loc", None, lambda e: e[2]),
-                 ("pkt_id", "q", lambda e: e[3]),
-                 ("ptype", None, lambda e: e[4].value),
-                 ("src", "q", lambda e: e[5].src),
-                 ("dst", "q", lambda e: e[5].dst),
-                 ("qp", "q", lambda e: e[5].qp),
-                 ("psn", "q", lambda e: e[6]),
-                 ("epsn", "q", lambda e: e[7]),
-                 ("path_index", "q", lambda e: e[8]),
-                 ("is_retx", "b", lambda e: e[9])),
-        QUEUE: (("t", "q", lambda e: e[1]),
-                ("loc", None, lambda e: e[2]),
-                ("name", None, None),
-                ("queued_bytes", "q", lambda e: e[3]),
-                ("backlog_pkts", "q", lambda e: e[4])),
-        CC: (("t", "q", lambda e: e[1]),
-             ("loc", None, lambda e: e[2]),
-             ("rate_bps", "d", lambda e: e[3])),
-        PFC: (("t", "q", lambda e: e[1]),
-              ("loc", None, lambda e: e[2]),
-              ("name", None, None),
-              ("occupancy_bytes", "q", lambda e: e[3])),
-    }
-
-    def columns(self, category: str) -> dict:
-        """Typed columnar view of a uniform category's recorded rows.
-
-        Returns ``{field: array.array | list}`` built lazily from the
-        retained buffer (or the ring, when the category is unretained).
-        Only the fixed-row categories (packet/queue/cc/pfc) support
-        this; variable-shape categories raise ``ValueError``.
-        """
-        spec = self._COLUMN_SPECS.get(category)
-        if spec is None:
-            raise ValueError(
-                f"category {category!r} has no uniform column layout")
-        rows = self._retained.get(category)
-        if rows is None:
-            cats = self._name_cats
-            rows = [e for e in self._ring if cats[e[0]] == category]
-        names = self._names
-        out: dict = {}
-        for field, typecode, extract in spec:
-            if extract is None:
-                out[field] = [names[e[0]] for e in rows]
-            elif typecode is None:
-                out[field] = [extract(e) for e in rows]
-            else:
-                out[field] = array(typecode,
-                                   (int(extract(e)) for e in rows)
-                                   if typecode != "d"
-                                   else (extract(e) for e in rows))
         return out
 
     # ------------------------------------------------------------------

@@ -1,10 +1,10 @@
-"""Time-series instrumentation.
+"""Windowed counters for per-flow time series.
 
-Experiments need traces like "sending rate over time" (Fig. 1c) and
-"retransmission ratio over time" (Fig. 1b).  :class:`TimeSeries` records raw
-``(time, value)`` samples; :class:`WindowedCounter` accumulates event counts
-and reports per-window rates; :class:`RateMeter` converts byte counts into a
-bits-per-second series.
+Experiments need traces like "retransmission ratio over time" (Fig. 1b)
+and per-window goodput.  :class:`WindowedCounter` accumulates event
+counts and reports per-window totals; :class:`RateMeter` converts byte
+counts into a bits-per-second series.  Raw per-change traces such as
+the DCQCN sending rate (Fig. 1c) are recorder events (``CC`` category).
 
 This module is the canonical home of these types (they once lived at
 ``repro.sim.trace``, removed after its deprecation window).
@@ -12,57 +12,11 @@ This module is the canonical home of these types (they once lived at
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Iterable, List, Tuple
+from typing import List, Tuple
 
 #: Nanoseconds per second (mirrors ``repro.sim.engine.SEC``; kept local so
 #: the observability layer does not import the engine package).
 SEC = 1_000_000_000
-
-
-@dataclass
-class TimeSeries:
-    """Raw (time_ns, value) samples with simple summary statistics."""
-
-    name: str = ""
-    samples: List[Tuple[int, float]] = field(default_factory=list)
-
-    def record(self, time_ns: int, value: float) -> None:
-        self.samples.append((time_ns, value))
-
-    def __len__(self) -> int:
-        return len(self.samples)
-
-    def times(self) -> List[int]:
-        return [t for t, _ in self.samples]
-
-    def values(self) -> List[float]:
-        return [v for _, v in self.samples]
-
-    def mean(self) -> float:
-        """Time-unweighted mean of the recorded values (0.0 if empty)."""
-        if not self.samples:
-            return 0.0
-        return sum(v for _, v in self.samples) / len(self.samples)
-
-    def time_weighted_mean(self) -> float:
-        """Mean weighting each value by how long it was in force.
-
-        The value recorded at ``t_i`` is assumed to hold until ``t_{i+1}``;
-        the final sample gets zero weight.  Falls back to :meth:`mean` when
-        fewer than two samples exist.
-        """
-        if len(self.samples) < 2:
-            return self.mean()
-        total = 0.0
-        weight = 0
-        for (t0, v), (t1, _) in zip(self.samples, self.samples[1:]):
-            dt = t1 - t0
-            total += v * dt
-            weight += dt
-        if weight == 0:
-            return self.mean()
-        return total / weight
 
 
 class WindowedCounter:
@@ -135,15 +89,3 @@ class RateMeter:
         total = sum(b for t, b in series if start_ns <= t < end_ns)
         return total * 8.0 / duration * SEC / 1e9
 
-
-def summarize(values: Iterable[float]) -> dict:
-    """Small helper: min/mean/max/p99-style summary for reports."""
-    vals = sorted(values)
-    if not vals:
-        return {"count": 0, "min": 0.0, "mean": 0.0, "max": 0.0}
-    return {
-        "count": len(vals),
-        "min": vals[0],
-        "mean": sum(vals) / len(vals),
-        "max": vals[-1],
-    }

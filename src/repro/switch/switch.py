@@ -186,13 +186,10 @@ class Switch(Device):
         port.on_drop = self._record_drop
         return port
 
-    def add_middleware(self, mw: Middleware, *, first: bool = False) -> None:
-        """Install ``mw`` at the end of the pipeline (or at its head with
-        ``first``) and rebuild the per-stage hook lists."""
-        if first:
-            self.middleware = (mw,) + self.middleware
-        else:
-            self.middleware = self.middleware + (mw,)
+    def add_middleware(self, mw: Middleware) -> None:
+        """Install ``mw`` at the end of the pipeline and rebuild the
+        per-stage hook lists."""
+        self.middleware = self.middleware + (mw,)
         mw.attach(self)
         ingress, selectors = [], []
         for installed in self.middleware:

@@ -4,8 +4,8 @@ import pytest
 
 from repro.cc.base import FixedRate
 from repro.cc.dcqcn import Dcqcn, DcqcnConfig
+from repro.obs.record import CC, Recorder
 from repro.sim.engine import US, Simulator
-from repro.obs.timeseries import TimeSeries
 
 LINE = 100e9
 
@@ -151,12 +151,17 @@ class TestIncrease:
 class TestTrace:
     def test_rate_trace_records_changes(self):
         sim = Simulator()
-        trace = TimeSeries("rate")
-        cc = Dcqcn(sim, LINE, DcqcnConfig(ti_ns=10 * US), rate_trace=trace)
+        recorder = Recorder(categories=(CC,), retain={CC})
+        cc = make(sim, ti_ns=10 * US)
+        cc.rec, cc.rec_loc = recorder.channel(CC), "cc:0->1#0"
         cc.on_cnp()
         sim.run(until=100 * US)
+        trace = recorder.records(CC)
         assert len(trace) >= 2
-        assert trace.values()[0] == pytest.approx(LINE / 2, rel=0.01)
+        assert {loc for _, _, _, loc, _ in trace} == {"cc:0->1#0"}
+        rates = [data["rate_bps"] for _, _, _, _, data in trace]
+        assert rates[0] == pytest.approx(LINE / 2, rel=0.01)
+        assert rates[-1] == cc.rate_bps
 
     def test_stop_cancels_timers(self):
         sim = Simulator()

@@ -60,9 +60,9 @@ class TestMetrics:
         flow = FlowKey(2, 3)
         metrics.watch_flow(flow)
         assert flow in metrics.sent_counters
-        assert flow in metrics.rate_traces
-        assert metrics.rate_trace_for(flow) is not None
-        assert metrics.rate_trace_for(FlowKey(9, 9)) is None
+        assert flow in metrics.retx_counters
+        assert flow in metrics.throughput_meters
+        assert FlowKey(9, 9) not in metrics.sent_counters
 
     def test_watched_flow_series_populated(self):
         metrics = self._metrics()

@@ -10,13 +10,10 @@ built without a recorder (or with every category disabled) must never
 invoke an emitter at all.
 """
 
-from array import array
 from types import SimpleNamespace
 
-import pytest
-
-from repro.obs.record import (ALL_CATEGORIES, CC, DROP, ECN, FAULT, NACK,
-                              PACKET, PFC, QP, QUEUE, Recorder)
+from repro.obs.record import (CC, DROP, ECN, FAULT, NACK, PACKET, PFC, QP,
+                              QUEUE, Recorder)
 
 
 class _Flow:
@@ -189,69 +186,6 @@ class TestGoldenEquality:
         first, second = rec.records(NACK)
         assert first[4]["flow"] == "0->1#0"
         assert second[4]["flow"] == "3->7#1"
-
-
-class TestSampling:
-    def test_stride_keeps_every_kth(self):
-        rec = Recorder(sample={QUEUE: 4})
-        for i in range(8):
-            rec.queue_sample(i, "p", "enq", i * 100, i)
-        kept = rec.records(QUEUE)
-        assert [r[0] for r in kept] == [3, 7]  # every 4th emit
-
-    def test_sampled_out_events_are_invisible(self):
-        rec = Recorder(sample={QUEUE: 4})
-        for i in range(8):
-            rec.queue_sample(i, "p", "enq", 0, 0)
-        assert rec.total_events() == 2
-        assert rec.counts == {"enq": 2}
-        assert len(rec.ring) == 2
-
-    def test_other_categories_unaffected(self):
-        rec = Recorder(sample={QUEUE: 1000})
-        rec.packet_hop(1, "p", fake_packet())
-        rec.queue_sample(2, "p", "enq", 0, 0)
-        assert rec.counts == {"hop": 1}
-
-    def test_invalid_stride_rejected(self):
-        with pytest.raises(ValueError, match="unknown sample"):
-            Recorder(sample={"bogus": 2})
-        with pytest.raises(ValueError, match="must be >= 1"):
-            Recorder(sample={QUEUE: 0})
-
-
-class TestColumns:
-    def test_packet_columns_typed(self):
-        rec = Recorder(retain={PACKET})
-        for psn in (3, 4, 5):
-            rec.packet_hop(psn * 10, "tor0/p1", fake_packet(psn=psn))
-        cols = rec.columns(PACKET)
-        assert isinstance(cols["t"], array) and cols["t"].typecode == "q"
-        assert cols["t"].tolist() == [30, 40, 50]
-        assert cols["psn"].tolist() == [3, 4, 5]
-        assert cols["src"].tolist() == [0, 0, 0]
-        assert cols["is_retx"].tolist() == [0, 0, 0]
-        assert cols["loc"] == ["tor0/p1"] * 3
-        assert cols["ptype"] == ["data"] * 3
-
-    def test_queue_columns_have_names(self):
-        rec = Recorder()
-        rec.queue_sample(1, "p", "enq", 1500, 1)
-        rec.queue_sample(2, "p", "deq", 0, 0)
-        cols = rec.columns(QUEUE)
-        assert cols["name"] == ["enq", "deq"]
-        assert cols["queued_bytes"].tolist() == [1500, 0]
-
-    def test_ring_fallback_when_unretained(self):
-        rec = Recorder()  # nothing retained: columns come from the ring
-        rec.packet_hop(1, "p", fake_packet())
-        rec.queue_sample(2, "p", "enq", 0, 0)
-        assert len(rec.columns(PACKET)["t"]) == 1
-
-    def test_variable_shape_category_rejected(self):
-        rec = Recorder()
-        with pytest.raises(ValueError, match="no uniform column layout"):
-            rec.columns(NACK)
 
 
 class _CountingStub(Recorder):

@@ -1,9 +1,9 @@
 """The observability package surface, post shim removal.
 
 The ``repro.sim.trace`` and ``repro.harness.tracer`` deprecation shims
-have been deleted after their deprecation window; the canonical modules
-(``repro.obs.timeseries``, ``repro.obs.capture``) are the only import
-paths now.
+have been deleted after their deprecation window; the windowed counters
+live in ``repro.obs.timeseries``, and per-hop packet capture is the
+recorder's ``packet`` category.
 """
 
 import importlib
@@ -13,34 +13,25 @@ import pytest
 
 class TestShimsRemoved:
     @pytest.mark.parametrize("module", ["repro.sim.trace",
-                                        "repro.harness.tracer"])
+                                        "repro.harness.tracer",
+                                        "repro.obs.capture",
+                                        "repro.harness.export",
+                                        "repro.harness.figures"])
     def test_old_path_is_gone(self, module):
         with pytest.raises(ModuleNotFoundError):
             importlib.import_module(module)
 
     def test_canonical_homes_export_the_types(self):
-        from repro.obs.capture import (PacketTracer, TraceEvent,
-                                       attach_tracer)
-        from repro.obs.timeseries import (RateMeter, TimeSeries,
-                                          WindowedCounter, summarize)
-        for obj in (PacketTracer, TraceEvent, attach_tracer, RateMeter,
-                    TimeSeries, WindowedCounter, summarize):
-            assert obj is not None
-
-    def test_sim_package_still_reexports_timeseries(self):
-        # The package-level re-export stays (public API); only the
-        # ``repro.sim.trace`` module path was removed.
-        import repro.obs.timeseries as ts
-        import repro.sim as sim
-        assert sim.TimeSeries is ts.TimeSeries
-        assert sim.RateMeter is ts.RateMeter
+        import repro.obs as obs
+        from repro.obs.timeseries import RateMeter, WindowedCounter
+        assert obs.RateMeter is RateMeter
+        assert obs.WindowedCounter is WindowedCounter
 
 
 class TestObsPackageSurface:
     def test_lazy_exports_resolve(self):
         import repro.obs as obs
-        for name in ("PacketTracer", "TraceEvent", "attach_tracer",
-                     "build_audit", "format_report", "NackAudit",
+        for name in ("build_audit", "format_report", "NackAudit",
                      "NackDecision", "export_chrome_trace",
                      "write_chrome_trace", "validate_chrome_trace"):
             assert getattr(obs, name) is not None

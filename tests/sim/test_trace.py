@@ -1,45 +1,8 @@
-"""Unit tests for time-series instrumentation."""
+"""Unit tests for the windowed time-series counters."""
 
 import pytest
 
-from repro.obs.timeseries import RateMeter, TimeSeries, WindowedCounter, summarize
-
-
-class TestTimeSeries:
-    def test_record_and_accessors(self):
-        ts = TimeSeries("x")
-        ts.record(10, 1.0)
-        ts.record(20, 3.0)
-        assert len(ts) == 2
-        assert ts.times() == [10, 20]
-        assert ts.values() == [1.0, 3.0]
-
-    def test_mean_empty_is_zero(self):
-        assert TimeSeries().mean() == 0.0
-
-    def test_mean(self):
-        ts = TimeSeries()
-        for t, v in [(0, 2.0), (1, 4.0), (2, 6.0)]:
-            ts.record(t, v)
-        assert ts.mean() == pytest.approx(4.0)
-
-    def test_time_weighted_mean(self):
-        ts = TimeSeries()
-        ts.record(0, 10.0)    # holds for 90 ns
-        ts.record(90, 0.0)    # final sample, zero weight
-        assert ts.time_weighted_mean() == pytest.approx(10.0)
-
-    def test_time_weighted_mean_weights_by_duration(self):
-        ts = TimeSeries()
-        ts.record(0, 100.0)   # 10 ns
-        ts.record(10, 0.0)    # 90 ns
-        ts.record(100, 50.0)  # terminal
-        assert ts.time_weighted_mean() == pytest.approx(10.0)
-
-    def test_time_weighted_falls_back_with_one_sample(self):
-        ts = TimeSeries()
-        ts.record(5, 7.0)
-        assert ts.time_weighted_mean() == 7.0
+from repro.obs.timeseries import RateMeter, WindowedCounter
 
 
 class TestWindowedCounter:
@@ -100,8 +63,3 @@ class TestRateMeter:
         assert meter.series_gbps() == []
         assert meter.mean_gbps() == 0.0
 
-
-def test_summarize():
-    stats = summarize([3.0, 1.0, 2.0])
-    assert stats == {"count": 3, "min": 1.0, "mean": 2.0, "max": 3.0}
-    assert summarize([])["count"] == 0
